@@ -1343,36 +1343,6 @@ let () =
       List.map int_of_string (String.split_on_char ',' spec)
     | None -> if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ]
   in
-  (* --columnar on|off: master switch for the vectorized kernels in every
-     table (same default as env DIAGRES_COLUMNAR; E13 toggles it per run
-     regardless, to measure both sides) *)
-  let () =
-    let rec find = function
-      | "--columnar" :: v :: _ -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match find (Array.to_list Sys.argv) with
-    | Some ("on" | "1" | "true") -> Diagres_ra.Plan.columnar_enabled := true
-    | Some ("off" | "0" | "false") -> Diagres_ra.Plan.columnar_enabled := false
-    | Some v -> Printf.eprintf "ignoring --columnar %s (want on|off)\n" v
-    | None -> ()
-  in
-  (* --defer on|off: late materialization (deferred gathers) in every
-     table (same default as env DIAGRES_DEFER; E15 toggles it per run
-     regardless, to measure both sides) *)
-  let () =
-    let rec find = function
-      | "--defer" :: v :: _ -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match find (Array.to_list Sys.argv) with
-    | Some ("on" | "1" | "true") -> Diagres_ra.Plan.defer_gathers := true
-    | Some ("off" | "0" | "false") -> Diagres_ra.Plan.defer_gathers := false
-    | Some v -> Printf.eprintf "ignoring --defer %s (want on|off)\n" v
-    | None -> ()
-  in
   (* --only e13,e14: run a subset of the sections (shape, scaling, tc,
      e11, e12, e13, e14, e15, micro) *)
   let only =

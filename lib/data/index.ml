@@ -60,11 +60,6 @@ let cache_owner (c : cache) = c.owner
 (** Key of [tup] at [positions]. *)
 let key positions (tup : Tuple.t) = Array.map (Tuple.get tup) positions
 
-(** Hash of a probe key — exposed so the partitioned parallel hash join can
-    route keys to build partitions with the same function the index buckets
-    hash with. *)
-let hash_key (k : Value.t array) = Vkey.hash k
-
 (** [build positions iter] indexes every tuple produced by [iter] on
     [positions]. *)
 let build (positions : int array) (iter : (Tuple.t -> unit) -> unit) : t =

@@ -21,10 +21,6 @@ val cache_owner : cache -> int
 (** Key of a tuple at the given positions. *)
 val key : int array -> Tuple.t -> Value.t array
 
-(** Hash of a probe key, consistent with the index's internal bucketing —
-    the routing function of the partitioned parallel hash join. *)
-val hash_key : Value.t array -> int
-
 (** [build positions iter] indexes every tuple produced by [iter]. *)
 val build : int array -> ((Tuple.t -> unit) -> unit) -> t
 

@@ -19,18 +19,20 @@
     actual cardinality is available from the cached result, which is what
     [qviz --explain] prints as [est=… actual=…].
 
-    The hot operators additionally have {b morsel-parallel} execution
-    paths over the shared domain pool ({!Diagres_pool.Pool}): inputs above
-    {!par_threshold} tuples are split into fixed-size chunks evaluated
-    across the pool — filters and projections chunk their input, the hash
-    join runs a partitioned parallel build and a parallel probe, and the
-    set operations chunk the membership side.  Every parallel path merges
-    its per-chunk results through {!D.Relation.of_tuples}, whose sorted-set
-    construction restores the [Relation.tuples] ordering contract, so the
-    result is {e identical} to the sequential path at any domain count
-    (property-tested).  Below the threshold — or with a pool of size 1 —
-    the sequential code runs unchanged and small catalog queries pay no
-    overhead. *)
+    Each operator has one execution path per storage form.  Nodes the
+    planner marks vectorized ({!mark_vectorized}: estimated input at or
+    above {!vec_threshold} rows) run the columnar kernels, which are
+    {b morsel-parallel} over the shared domain pool
+    ({!Diagres_pool.Pool}): inputs above {!par_threshold} rows are split
+    into batches evaluated across the pool ({!vec_batches}).  Unmarked
+    nodes run one sequential row path at any pool size — small inputs
+    gain nothing from the pool, and the sequential hash join keeps using
+    the build side's cached per-relation index.  The nested-loop join,
+    which has no vectorized form, is the one row operator with a parallel
+    path; it merges its per-chunk results through {!D.Relation.of_tuples},
+    whose sorted-set construction restores the [Relation.tuples] ordering
+    contract, so every result is {e identical} at any domain count
+    (property-tested). *)
 
 module D = Diagres_data
 module Pool = Diagres_pool.Pool
@@ -137,7 +139,8 @@ let mk op schema est est_distinct : t =
     tiny relations; the default keeps small catalog queries sequential. *)
 let par_threshold = ref 2048
 
-(** Morsel size: tuples per chunk handed to a pool worker. *)
+(** Morsel size: outer tuples per chunk the nested-loop join hands to a
+    pool worker. *)
 let morsel_size = ref 1024
 
 let parallel_for n = Pool.size () > 1 && n >= !par_threshold
@@ -147,10 +150,6 @@ let parallel_for n = Pool.size () > 1 && n >= !par_threshold
 let chunk_for len =
   max 1 (min !morsel_size ((len + (4 * Pool.size ()) - 1) / (4 * Pool.size ())))
 
-(* Per-chunk filter keeping input (= sorted) order. *)
-let chunk_filter holds sub =
-  Array.fold_right (fun t acc -> if holds t then t :: acc else acc) sub []
-
 (* Merge per-chunk tuple lists into a relation; the sorted-set constructor
    re-establishes the ordering contract whatever order chunks produced. *)
 let merge_chunks schema (chunks : D.Tuple.t list array) : D.Relation.t =
@@ -158,15 +157,11 @@ let merge_chunks schema (chunks : D.Tuple.t list array) : D.Relation.t =
 
 (* ---------------- columnar execution knobs ---------------- *)
 
-(** Master switch for the vectorized paths; initialized from the
-    [DIAGRES_COLUMNAR] environment variable (off with [0]/[off]/[false]/
-    [no], on otherwise — mirroring [DIAGRES_DOMAINS]) and checked at
-    execution time, so a cached plan follows the current setting. *)
-let columnar_enabled =
-  ref
-    (match Sys.getenv_opt "DIAGRES_COLUMNAR" with
-    | Some ("0" | "off" | "false" | "no") -> false
-    | _ -> true)
+(** Master switch for the vectorized paths, on by default.  Checked at
+    execution time, so a cached plan follows the current setting; the
+    differential suites and the E13 bench turn it off in-process to run
+    the same plan through the row kernels. *)
+let columnar_enabled = ref true
 
 (** Minimum estimated input rows before the planner marks an operator
     vectorized — below this, forcing the columnar view costs more than the
@@ -182,28 +177,15 @@ let batch_rows = ref 4096
 
 (** Late-materialization master switch: when a planner-marked fusable
     filter/projection runs, emit a deferred selection view (batch + word
-    bitmap, no gather) instead of materializing.  On by default;
-    [DIAGRES_DEFER=0]/[off]/[false]/[no] turns it off and every operator
-    gathers eagerly as in the pre-late-materialization engine — the bench
-    crosses the two modes and CI smokes both.  Checked at execution time,
-    so a cached plan follows the current setting. *)
-let defer_gathers =
-  ref
-    (match Sys.getenv_opt "DIAGRES_DEFER" with
-    | Some ("0" | "off" | "false" | "no") -> false
-    | _ -> true)
+    bitmap, no gather) instead of materializing.  On by default; the
+    differential suites and the E15 bench turn it off in-process to time
+    and check eager gathers.  Checked at execution time, so a cached plan
+    follows the current setting. *)
+let defer_gathers = ref true
 
 let c_batches = T.counter "columnar.batches"
 let c_rows = T.counter "columnar.rows"
 let c_fallback = T.counter "columnar.fallback_row_mode"
-
-(* Number of build partitions for the parallel hash join: a power of two
-   (cheap masking) with enough slack that partition skew leaves no domain
-   idle. *)
-let partition_count () =
-  let target = 2 * Pool.size () in
-  let rec pow2 n = if n >= target then n else pow2 (2 * n) in
-  pow2 1
 
 (* ---------------- execution ---------------- *)
 
@@ -384,9 +366,11 @@ let vec_project n idx (r : D.Relation.t) : D.Relation.t =
    build hashes only the selected right rows, probe walks only the
    selected left rows, and neither side is ever gathered; non-canonical
    views materialize first (the canonicity argument below needs sorted
-   duplicate-free inputs).  [None] when some key pair has no unboxed code
-   view (floats, mixed-kind columns) — the caller then takes the row
-   path. *)
+   duplicate-free inputs).  A side with no (selected) rows yields the
+   empty result directly — an empty batch's columns carry no kind, so
+   there is no code view to join on, and none is needed.  [None] when
+   some key pair has no unboxed code view (floats, mixed-kind columns) —
+   the caller then takes the row path. *)
 let vec_hash_join n (j : hash_join) lr rr : D.Relation.t option =
   let lb, lsel =
     match D.Relation.view_sel lr with
@@ -398,31 +382,38 @@ let vec_hash_join n (j : hash_join) lr rr : D.Relation.t option =
     | Some (base, sel) -> (base, Some sel)
     | None -> (D.Relation.batch rr, None)
   in
+  (* build/probe domains: positions in the selection vector when the
+     input is a pending view, base rows otherwise.  Both selection vectors
+     ascend, so iterating positions in order still visits base rows in
+     order — the canonicity argument below survives unchanged. *)
+  let build_n, build_row =
+    match rsel with
+    | Some s -> (Array.length s, fun k -> Array.unsafe_get s k)
+    | None -> (D.Batch.nrows rb, fun k -> k)
+  in
+  let probe_n, probe_row =
+    match lsel with
+    | Some s -> (Array.length s, fun i -> Array.unsafe_get s i)
+    | None -> (D.Batch.nrows lb, fun i -> i)
+  in
   let lcols = D.Batch.cols lb and rcols = D.Batch.cols rb in
   let rkey = Array.of_list j.rkey in
   let nk = Array.length j.lkey in
+  let empty_side = build_n = 0 || probe_n = 0 in
   let pairs =
-    Array.init nk (fun k ->
-        D.Column.join_codes lcols.(j.lkey.(k)) rcols.(rkey.(k)))
+    if empty_side then [||]
+    else
+      Array.init nk (fun k ->
+          D.Column.join_codes lcols.(j.lkey.(k)) rcols.(rkey.(k)))
   in
-  if nk = 0 || Array.exists Option.is_none pairs then None
+  if empty_side then begin
+    if T.enabled () then n.detail <- [ ("vec", 1) ];
+    Some (D.Relation.empty n.schema)
+  end
+  else if nk = 0 || Array.exists Option.is_none pairs then None
   else begin
     let probes = Array.map (fun p -> fst (Option.get p)) pairs in
     let builds = Array.map (fun p -> snd (Option.get p)) pairs in
-    (* build/probe domains: positions in the selection vector when the
-       input is a pending view, base rows otherwise.  Both selection
-       vectors ascend, so iterating positions in order still visits base
-       rows in order — the canonicity argument below survives unchanged. *)
-    let build_n, build_row =
-      match rsel with
-      | Some s -> (Array.length s, fun k -> Array.unsafe_get s k)
-      | None -> (D.Batch.nrows rb, fun k -> k)
-    in
-    let probe_n, probe_row =
-      match lsel with
-      | Some s -> (Array.length s, fun i -> Array.unsafe_get s i)
-      | None -> (D.Batch.nrows lb, fun i -> i)
-    in
     (* single-key joins (the common case) keep the key an unboxed int end
        to end; multi-key joins pay one small key array per row.
        [iter_matches] takes and yields *base* row indices. *)
@@ -711,29 +702,11 @@ and compute n : D.Relation.t =
   | Filter (p, c) ->
     let r = exec c in
     if !columnar_enabled && n.vec then vec_filter n p r
-    else if not (parallel_for (D.Relation.cardinality r)) then
-      D.Relation.filter p.holds r
-    else begin
-      note_morsels n (D.Relation.cardinality r) !morsel_size;
-      let arr = D.Relation.tuples_array r in
-      merge_chunks (D.Relation.schema r)
-        (Pool.parallel_map_chunks ~chunk:!morsel_size (chunk_filter p.holds)
-           arr)
-    end
-  | Project (idx, c) when !columnar_enabled && n.vec ->
-    vec_project n idx (exec c)
+    else D.Relation.filter p.holds r
   | Project (idx, c) ->
     let r = exec c in
-    let proj t = Array.map (D.Tuple.get t) idx in
-    if not (parallel_for (D.Relation.cardinality r)) then
-      D.Relation.map n.schema proj r
-    else begin
-      note_morsels n (D.Relation.cardinality r) !morsel_size;
-      merge_chunks n.schema
-        (Pool.parallel_map_chunks ~chunk:!morsel_size
-           (fun sub -> Array.fold_right (fun t acc -> proj t :: acc) sub [])
-           (D.Relation.tuples_array r))
-    end
+    if !columnar_enabled && n.vec then vec_project n idx r
+    else D.Relation.map n.schema (fun t -> Array.map (D.Tuple.get t) idx) r
   | Relabel c ->
     D.Relation.rename_all (D.Schema.names n.schema) (exec c)
   | Hash_join j -> (
@@ -752,22 +725,6 @@ and compute n : D.Relation.t =
     with
     | Some r -> r
     | None ->
-    let probe_all lookup =
-      D.Relation.fold
-        (fun ta acc ->
-          let key = Array.map (D.Tuple.get ta) j.lkey in
-          List.fold_left
-            (fun acc tb ->
-              let out =
-                D.Tuple.concat ta (Array.map (D.Tuple.get tb) j.right_rest)
-              in
-              match j.residual with
-              | Some p when not (p.holds out) -> acc
-              | _ -> out :: acc)
-            acc (lookup key))
-        lr []
-    in
-    if not (parallel_for (D.Relation.cardinality lr)) then begin
       (* sequential probe over the per-relation cached index; under
          tracing the index build is forced first so build and probe time
          are attributable separately *)
@@ -777,77 +734,25 @@ and compute n : D.Relation.t =
       let probe_ns, r =
         timed_if (fun () ->
             D.Relation.of_tuples n.schema
-              (probe_all (fun key -> D.Relation.matching rr j.rkey key)))
+              (D.Relation.fold
+                 (fun ta acc ->
+                   let key = Array.map (D.Tuple.get ta) j.lkey in
+                   List.fold_left
+                     (fun acc tb ->
+                       let out =
+                         D.Tuple.concat ta
+                           (Array.map (D.Tuple.get tb) j.right_rest)
+                       in
+                       match j.residual with
+                       | Some p when not (p.holds out) -> acc
+                       | _ -> out :: acc)
+                     acc
+                     (D.Relation.matching rr j.rkey key))
+                 lr []))
       in
       if T.enabled () then
         n.detail <- [ ("build_ns", build_ns); ("probe_ns", probe_ns) ];
-      r
-    end
-    else begin
-      let rkey_arr = Array.of_list j.rkey in
-      let build_ns, lookup =
-        timed_if @@ fun () ->
-        if parallel_for (D.Relation.cardinality rr) then begin
-          (* parallel partitioned build: every partition scans the build
-             side and keeps the tuples whose key hash routes to it, so the
-             partitions build concurrently with no shared table and no
-             merge step *)
-          let nparts = partition_count () in
-          let mask = nparts - 1 in
-          let rarr = D.Relation.tuples_array rr in
-          let parts =
-            Pool.run_all
-              (Array.init nparts (fun pid () ->
-                   D.Index.build rkey_arr (fun f ->
-                       Array.iter
-                         (fun t ->
-                           if
-                             D.Index.hash_key (D.Index.key rkey_arr t)
-                             land mask
-                             = pid
-                           then f t)
-                         rarr)))
-          in
-          fun key ->
-            D.Index.lookup parts.(D.Index.hash_key key land mask) key
-        end
-        else begin
-          (* small build side: build the relation's cached index once, up
-             front, so the probe workers race only on read-only state *)
-          D.Relation.prepare_index rr j.rkey;
-          fun key -> D.Relation.matching rr j.rkey key
-        end
-      in
-      (* parallel probe: each morsel of the left input probes independently *)
-      let probe_chunk sub =
-        Array.fold_right
-          (fun ta acc ->
-            let key = Array.map (D.Tuple.get ta) j.lkey in
-            List.fold_left
-              (fun acc tb ->
-                let out =
-                  D.Tuple.concat ta (Array.map (D.Tuple.get tb) j.right_rest)
-                in
-                match j.residual with
-                | Some p when not (p.holds out) -> acc
-                | _ -> out :: acc)
-              acc (lookup key))
-          sub []
-      in
-      let probe_ns, r =
-        timed_if (fun () ->
-            merge_chunks n.schema
-              (Pool.parallel_map_chunks ~chunk:!morsel_size probe_chunk
-                 (D.Relation.tuples_array lr)))
-      in
-      if T.enabled () then
-        n.detail <-
-          [ ("build_ns", build_ns); ("probe_ns", probe_ns);
-            ( "morsels",
-              (D.Relation.cardinality lr + !morsel_size - 1) / !morsel_size )
-          ];
-      r
-    end)
+      r)
   | Nl_join (p, a, b) ->
     let ra = exec a and rb = exec b in
     note_row_fallback n [ ra; rb ];
@@ -883,43 +788,15 @@ and compute n : D.Relation.t =
   | Union (a, b) ->
     let ra = exec a and rb = exec b in
     note_row_fallback n [ ra; rb ];
-    if not (parallel_for (D.Relation.cardinality rb)) then
-      D.Relation.union ra rb
-    else begin
-      (* keep a intact; in parallel, find b's genuinely new tuples *)
-      note_morsels n (D.Relation.cardinality rb) !morsel_size;
-      let fresh =
-        Pool.parallel_map_chunks ~chunk:!morsel_size
-          (chunk_filter (fun t -> not (D.Relation.mem t ra)))
-          (D.Relation.tuples_array rb)
-      in
-      D.Relation.of_tuples n.schema
-        (List.concat (D.Relation.tuples ra :: Array.to_list fresh))
-    end
+    D.Relation.union ra rb
   | Inter (a, b) ->
     let ra = exec a and rb = exec b in
     note_row_fallback n [ ra; rb ];
-    if not (parallel_for (D.Relation.cardinality ra)) then
-      D.Relation.inter ra rb
-    else begin
-      note_morsels n (D.Relation.cardinality ra) !morsel_size;
-      merge_chunks n.schema
-        (Pool.parallel_map_chunks ~chunk:!morsel_size
-           (chunk_filter (fun t -> D.Relation.mem t rb))
-           (D.Relation.tuples_array ra))
-    end
+    D.Relation.inter ra rb
   | Diff (a, b) ->
     let ra = exec a and rb = exec b in
     note_row_fallback n [ ra; rb ];
-    if not (parallel_for (D.Relation.cardinality ra)) then
-      D.Relation.diff ra rb
-    else begin
-      note_morsels n (D.Relation.cardinality ra) !morsel_size;
-      merge_chunks n.schema
-        (Pool.parallel_map_chunks ~chunk:!morsel_size
-           (chunk_filter (fun t -> not (D.Relation.mem t rb)))
-           (D.Relation.tuples_array ra))
-    end
+    D.Relation.diff ra rb
   | Division (a, b) when !columnar_enabled && n.vec ->
     vec_division n a b (exec a) (exec b)
   | Division (a, b) ->

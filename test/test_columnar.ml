@@ -522,6 +522,29 @@ let test_counters () =
   Alcotest.(check int) "eager mode defers nothing" d1
     (T.counter_named "columnar.gathers_deferred")
 
+(* A vectorized join with an empty input answers empty without touching
+   key columns — an empty batch's columns carry no kind, so asking for a
+   code view there would send every such join to the row fallback. *)
+let test_empty_side_join () =
+  List.iter
+    (fun src ->
+      let e = Diagres_ra.Parser.parse src in
+      let fb0 = T.counter_named "columnar.fallback_row_mode" in
+      List.iter
+        (fun domains ->
+          forcing domains (fun () ->
+              Testutil.check_same_rows src (Diagres_ra.Eval.eval db e)
+                (Plan.run (Planner.plan db e))))
+        [ 1; 4 ];
+      Alcotest.(check int)
+        (src ^ ": no row-mode fallback")
+        fb0
+        (T.counter_named "columnar.fallback_row_mode"))
+    [ "select[rating > 100](Sailor) join Reserves";
+      "Sailor join select[bid < 0](Reserves)";
+      "project[sname](select[rating > 100](Sailor) join select[bid < 0](Reserves))"
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* The 500-query differential: columnar (deferred and eager) ≡ row ≡   *)
 (* naive at 1 and 4 domains, with forced-small batches.                *)
@@ -614,7 +637,8 @@ let () =
         [ Alcotest.test_case "sorted-group merge = naive" `Quick
             test_division_vec ] );
       ( "telemetry",
-        [ Alcotest.test_case "columnar counters" `Quick test_counters ] );
+        [ Alcotest.test_case "columnar counters" `Quick test_counters;
+          Alcotest.test_case "empty-side join" `Quick test_empty_side_join ] );
       ( "differential",
         [ Alcotest.test_case "500 queries, deferred = eager = row = naive"
             `Slow test_differential;

@@ -13,10 +13,13 @@
      object the LRU plan cache serves to ad-hoc [eval_planned] calls,
      whose [Plan.run] resets the per-node memos — maintenance must keep
      working because its state lives with the view, not on plan nodes;
+   - the cached-index regression: with the pool at several domains, a
+     join view's delta probes keep serving the stable side's index from
+     the relation cache round after round;
    - a randomized insert/delete-stream differential: maintained result ≡
      recomputed ≡ naive, over qgen-generated plans, crossed over 1/4
-     domains and columnar on/off (overridable via DIAGRES_DOMAINS /
-     DIAGRES_COLUMNAR, which is how CI crosses the matrix). *)
+     domains (overridable via DIAGRES_DOMAINS, which is how CI crosses
+     the pool sizes) and columnar on/off. *)
 
 module D = Diagres_data
 module R = D.Relation
@@ -31,6 +34,7 @@ module Views = Diagres.Views
 module Languages = Diagres.Languages
 module Pool = Diagres_pool.Pool
 module Q = Diagres.Qgen
+module T = Diagres_telemetry.Telemetry
 
 (* Same forcing harness as test_columnar: tiny thresholds so every
    eligible operator — including the ephemeral delta nodes — runs its
@@ -254,6 +258,49 @@ let test_plan_cache_sharing () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Cached stable-side index under a multi-domain pool.                 *)
+
+(* A delta-probe join must build on the stable side through its cached
+   per-relation index, so a round that changes only Reserves costs
+   O(|Δ|) after the first: every later round is served from the cache
+   (hits grow, misses do not), whatever the pool size. *)
+let test_delta_join_reuses_cached_index () =
+  forcing 4 (fun () ->
+      let db =
+        ref (D.Generator.sailors_db ~n_sailors:50 ~n_boats:10 ~n_reserves:100 7)
+      in
+      let e = Diagres_ra.Parser.parse "project[sname](Sailor join Reserves)" in
+      let view = Delta.init (Planner.plan !db e) in
+      let r = D.Generator.rng 7 in
+      (* one maintenance round; the counters are read before the naive
+         check, whose own joins build indexes on the fresh Reserves *)
+      let round k =
+        let changes =
+          D.Generator.update_batch ~relations:[ "Reserves" ] ~frac:0.1 r !db
+        in
+        let db', applied = D.Database.apply_delta changes !db in
+        db := db';
+        let hit0 = T.counter_named "index.cache.hit"
+        and miss0 = T.counter_named "index.cache.miss" in
+        let rep = Delta.maintain view applied in
+        let hits = T.counter_named "index.cache.hit" - hit0
+        and misses = T.counter_named "index.cache.miss" - miss0 in
+        Testutil.check_same_rows
+          (Printf.sprintf "round %d: maintained = naive" k)
+          (Eval.eval !db e) rep.Delta.result;
+        (hits, misses)
+      in
+      (* the first round builds the stable side's index *)
+      ignore (round 1 : int * int);
+      for k = 2 to 4 do
+        let hits, misses = round k in
+        if hits = 0 then
+          Alcotest.failf "round %d: stable-side index not served from cache" k;
+        Alcotest.(check int) (Printf.sprintf "round %d builds no index" k) 0
+          misses
+      done)
+
+(* ------------------------------------------------------------------ *)
 (* Randomized update-stream differential.                              *)
 
 let fuzz_n =
@@ -265,12 +312,6 @@ let domains_list =
   match Sys.getenv_opt "DIAGRES_DOMAINS" with
   | Some s -> ( try [ max 1 (int_of_string (String.trim s)) ] with _ -> [ 1; 4 ])
   | None -> [ 1; 4 ]
-
-let columnar_list =
-  match Sys.getenv_opt "DIAGRES_COLUMNAR" with
-  | Some "0" -> [ false ]
-  | Some _ -> [ true ]
-  | None -> [ true; false ]
 
 let test_update_stream_differential () =
   let st = Random.State.make [| 0xde17a; 2026 |] in
@@ -305,7 +346,7 @@ let test_update_stream_differential () =
                       i round domains columnar (Diagres_ra.Pretty.ascii e)
                 done)
               )
-          columnar_list)
+          [ true; false ])
       domains_list
   done
 
@@ -328,6 +369,9 @@ let () =
       ( "plan-sharing",
         [ Alcotest.test_case "maintenance survives ad-hoc Plan.run" `Quick
             test_plan_cache_sharing ] );
+      ( "cached-index",
+        [ Alcotest.test_case "delta joins reuse the stable side's index"
+            `Quick test_delta_join_reuses_cached_index ] );
       ( "differential",
         [ Alcotest.test_case "update streams: maintained = naive" `Slow
             test_update_stream_differential ] ) ]

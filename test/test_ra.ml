@@ -343,20 +343,27 @@ let test_aggregate_errors () =
 
 module Pool = Diagres_pool.Pool
 
-(* Run [f] with the pool at [domains] and every parallel operator forced on
-   ([par_threshold = 0] routes even the sample db's relations through the
-   morsel-parallel paths, with small morsels so several chunks exist). *)
+(* Run [f] with the pool at [domains] and every parallel operator forced on:
+   [vec_threshold = 0] marks every eligible operator vectorized and
+   [par_threshold = 0] routes even the sample db's relations through the
+   morsel-parallel kernels, with small batches (and small nested-loop
+   morsels) so several chunks exist. *)
 let forcing_parallel domains f =
   let old_size = Pool.size () in
   let old_thr = !Plan.par_threshold and old_morsel = !Plan.morsel_size in
+  let old_vec = !Plan.vec_threshold and old_batch = !Plan.batch_rows in
   Pool.set_size domains;
   Plan.par_threshold := 0;
   Plan.morsel_size := 3;
+  Plan.vec_threshold := 0;
+  Plan.batch_rows := 3;
   Fun.protect
     ~finally:(fun () ->
       Pool.set_size old_size;
       Plan.par_threshold := old_thr;
-      Plan.morsel_size := old_morsel)
+      Plan.morsel_size := old_morsel;
+      Plan.vec_threshold := old_vec;
+      Plan.batch_rows := old_batch)
     f
 
 (* The tentpole differential: parallel ≡ sequential ≡ naive over random
@@ -388,7 +395,7 @@ let prop_parallel_matches_sequential_deep =
 
 let test_parallel_catalog_larger_dbs () =
   (* the five tutorial queries on generated instances big enough for real
-     multi-morsel partitioned joins *)
+     multi-batch vectorized joins *)
   let dbi =
     D.Generator.sailors_db ~n_sailors:400 ~n_boats:40 ~n_reserves:800 99
   in
@@ -400,6 +407,7 @@ let test_parallel_catalog_larger_dbs () =
         (fun domains ->
           forcing_parallel domains (fun () ->
               Plan.morsel_size := 64;
+              Plan.batch_rows := 64;
               Testutil.check_same_rows
                 (Printf.sprintf "parallel %s at %d domains"
                    entry.Diagres.Catalog.id domains)

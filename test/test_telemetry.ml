@@ -332,8 +332,9 @@ let test_datalog_round_counter () =
 
 (* ---------------- differential: instrumented = uninstrumented -------- *)
 
-(* A database big enough that joins cross the morsel-parallel threshold,
-   so the traced run exercises the parallel operator paths too. *)
+(* A database big enough that operators cross the vectorized and
+   parallel thresholds, so the traced run exercises the columnar kernels
+   and the pooled nested-loop join too. *)
 let big_db =
   D.Generator.sailors_db ~n_sailors:1500 ~n_boats:150 ~n_reserves:3000 1507
 
