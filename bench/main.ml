@@ -1178,7 +1178,7 @@ let bench_tests () =
   [
     Test.make ~name:"e1/eval-ra-q1" (stage (fun () -> Diagres_ra.Eval.eval db ra1));
     Test.make ~name:"e1/eval-trc-q1" (stage (fun () -> Diagres_rc.Trc.eval db trc1));
-    Test.make ~name:"e1/eval-drc-naive-q1" (stage (fun () -> Diagres_rc.Drc.eval db drc1));
+    Test.make ~name:"e1/eval-drc-q1" (stage (fun () -> Diagres_rc.Drc.eval db drc1));
     Test.make ~name:"e1/eval-datalog-q3"
       (stage (fun () -> Diagres_datalog.Eval.query db dl3 ~goal:"q3"));
     Test.make ~name:"e1/translate-trc-to-ra-q1"

@@ -137,8 +137,9 @@ let rec existentialize = function
 
 (** Miniscoping: push existential quantifiers to the smallest subformula
     containing their variable.  [∃x (A ∧ B) = A ∧ ∃x B] when [x ∉ fv(A)],
-    and [∃x (A ∨ B) = ∃x A ∨ ∃x B].  The input is first brought to NNF with
-    only existential quantifiers; the output is logically equivalent.
+    and [∃x (A ∨ B) = ∃x A ∨ ∃x B].  The input is first rewritten with
+    only ¬, ∧, ∨ and ∃, negations pushed inward until they meet an atom or
+    an ∃; the output is logically equivalent.
     Naive finite-model evaluation of the result visits exponentially fewer
     assignments on conjunctive shapes (the usual case for queries). *)
 let miniscope f =
@@ -176,17 +177,30 @@ let miniscope f =
     | And _ -> push x g
     | _ -> Exists (x, g)
   in
-  (* eliminate ⇒ and ∀ but leave negations in place (pushing ¬ through ∃
-     would reintroduce ∀) *)
+  (* eliminate ⇒ and ∀, pushing ¬ through ¬, ∧ and ∨ but never through ∃
+     (that would reintroduce ∀): ∀x(G → H) becomes ¬∃x(G ∧ ¬H), whose
+     positive conjunct G can bind x *)
   let rec prep g =
     match g with
     | True | False | Pred _ | Cmp _ -> g
-    | Not h -> Not (prep h)
+    | Not h -> prep_neg h
     | And (a, b) -> And (prep a, prep b)
     | Or (a, b) -> Or (prep a, prep b)
-    | Implies (a, b) -> Or (Not (prep a), prep b)
+    | Implies (a, b) -> Or (prep_neg a, prep b)
     | Exists (x, h) -> Exists (x, prep h)
-    | Forall (x, h) -> Not (Exists (x, Not (prep h)))
+    | Forall (x, h) -> Not (Exists (x, prep_neg h))
+  (* prep_neg g: ¬g with the ¬ pushed inward *)
+  and prep_neg g =
+    match g with
+    | True -> False
+    | False -> True
+    | Pred _ | Cmp _ -> Not g
+    | Not h -> prep h
+    | And (a, b) -> Or (prep_neg a, prep_neg b)
+    | Or (a, b) -> And (prep_neg a, prep_neg b)
+    | Implies (a, b) -> And (prep a, prep_neg b)
+    | Exists (x, h) -> Not (Exists (x, prep h))
+    | Forall (x, h) -> Exists (x, prep_neg h)
   in
   let rec go g =
     match g with

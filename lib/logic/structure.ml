@@ -12,21 +12,31 @@
     active-domain enumeration for genuinely unrestricted variables.  The
     {e naive} one ({!holds_naive}, {!answers_naive}) is the textbook
     active-domain evaluation (with the static column-guard optimization),
-    kept as the reference for differential tests and benches. *)
+    kept as the reference for differential tests and benches.
+
+    The universe is lazy: sorting every value of every relation costs more
+    than evaluating a typical range-restricted query, so it is built only
+    when a fallback (an unrestricted variable, a ∀, a naive evaluator)
+    first reads it.  A structure is meant for one evaluation on one domain;
+    forcing its universe from two domains at once is not supported. *)
 
 module D = Diagres_data
 
 type t = {
-  universe : D.Value.t list;  (** quantification range *)
+  universe : D.Value.t list Lazy.t;
+      (** quantification range, built on first use *)
   db : D.Database.t;
 }
 
+let universe st = Lazy.force st.universe
+
 let of_database ?extra_constants db =
-  let dom = D.Database.active_domain db in
   let universe =
-    match extra_constants with
-    | None -> dom
-    | Some cs -> List.sort_uniq D.Value.compare (cs @ dom)
+    lazy
+      (let dom = D.Database.active_domain db in
+       match extra_constants with
+       | None -> dom
+       | Some cs -> List.sort_uniq D.Value.compare (cs @ dom))
   in
   { universe; db }
 
@@ -132,7 +142,8 @@ let rec range st env x (f : Fol.t) : D.Value.t list option =
 (** Tarskian satisfaction; quantified variables are bound from the atoms
     that mention them ({!range} above), falling back to the universe only
     for unrestricted variables (and for ∀, whose range cannot be narrowed
-    soundly — the calculus front-ends rewrite ∀ as ¬∃¬ before evaluating). *)
+    soundly — the calculus front-ends miniscope first, which turns
+    [∀x(G → H)] into [¬∃x(G ∧ ¬H)] so that G's atoms bind x). *)
 let rec holds st env = function
   | Fol.True -> true
   | Fol.False -> false
@@ -153,11 +164,11 @@ let rec holds st env = function
   | Fol.Implies (a, b) -> (not (holds st env a)) || holds st env b
   | Fol.Exists (x, f) ->
     let vals =
-      match range st env x f with Some vs -> vs | None -> st.universe
+      match range st env x f with Some vs -> vs | None -> universe st
     in
     List.exists (fun v -> holds st ((x, v) :: env) f) vals
   | Fol.Forall (x, f) ->
-    List.for_all (fun v -> holds st ((x, v) :: env) f) st.universe
+    List.for_all (fun v -> holds st ((x, v) :: env) f) (universe st)
 
 (** Evaluate a sentence (no free variables) to a Boolean. *)
 let eval_sentence st f =
@@ -183,7 +194,7 @@ let answers st ?order f =
       else []
     | x :: rest ->
       let vals =
-        match range st env x f with Some vs -> vs | None -> st.universe
+        match range st env x f with Some vs -> vs | None -> universe st
       in
       List.concat_map (fun v -> go ((x, v) :: env) rest) vals
   in
@@ -227,7 +238,7 @@ let rec guard_values st x (f : Fol.t) =
         (position 0 ts))
   | _ -> None
 
-(** Naive Tarskian satisfaction: quantifiers range over [st.universe],
+(** Naive Tarskian satisfaction: quantifiers range over the universe,
     narrowed only by the static (environment-free) column guards. *)
 let rec holds_naive st env = function
   | Fol.True -> true
@@ -241,11 +252,11 @@ let rec holds_naive st env = function
     let range =
       match guard_values st x f with
       | Some vs -> vs
-      | None -> st.universe
+      | None -> universe st
     in
     List.exists (fun v -> holds_naive st ((x, v) :: env) f) range
   | Fol.Forall (x, f) ->
-    List.for_all (fun v -> holds_naive st ((x, v) :: env) f) st.universe
+    List.for_all (fun v -> holds_naive st ((x, v) :: env) f) (universe st)
 
 let eval_sentence_naive st f =
   match Fol.free_var_list f with
@@ -273,7 +284,7 @@ let answers_naive st ?order f =
       let range =
         match guard_values st x f with
         | Some vs -> vs
-        | None -> st.universe
+        | None -> universe st
       in
       List.concat_map (fun v -> go ((x, v) :: env) rest) range
   in

@@ -52,13 +52,15 @@ let typecheck (schemas : (string * Diagres_data.Schema.t) list) (q : query) =
             (Diagres_data.Schema.arity s))
     (Diagres_logic.Fol.predicate_list q.body)
 
-(** Active-domain evaluation.  Variables are bound from the atoms that
-    mention them through {!Diagres_logic.Structure.answers} (range
-    restriction with index probes), falling back to active-domain
-    enumeration only for genuinely unrestricted variables.  For safe-range
-    queries this agrees with the natural (domain-independent) semantics;
-    for unsafe ones it exhibits exactly the domain dependence the tutorial
-    discusses around Peirce's beta graphs. *)
+(** Active-domain evaluation.  The body is miniscoped first, which
+    rewrites ∀ and ⇒ into ¬∃ and pushes ¬ through ¬/∧/∨, so a guarded
+    [∀x(G → H)] becomes [¬∃x(G ∧ ¬H)].  Variables are then bound from the
+    atoms that mention them through {!Diagres_logic.Structure.answers}
+    (range restriction with index probes); the active domain is built only
+    if some variable is genuinely unrestricted.  For safe-range queries this
+    agrees with the natural (domain-independent) semantics; for unsafe ones
+    it exhibits exactly the domain dependence the tutorial discusses around
+    Peirce's beta graphs. *)
 let eval (db : Diagres_data.Database.t) (q : query) : Diagres_data.Relation.t =
   let module D = Diagres_data in
   let schemas =

@@ -110,13 +110,10 @@ let safe_query (q : Drc.query) = safe_range q.Drc.body
     beta-graph semantics. *)
 let domain_dependence_witness db (q : Drc.query) =
   let module D = Diagres_data in
-  let st0 = Diagres_logic.Structure.for_formula q.Drc.body db in
+  let module S = Diagres_logic.Structure in
+  let st0 = S.for_formula q.Drc.body db in
   let fresh = D.Value.Int 982_451_653 in
-  let st1 =
-    { st0 with
-      Diagres_logic.Structure.universe =
-        fresh :: st0.Diagres_logic.Structure.universe }
-  in
-  let a0 = Diagres_logic.Structure.answers st0 ~order:q.Drc.head q.Drc.body in
-  let a1 = Diagres_logic.Structure.answers st1 ~order:q.Drc.head q.Drc.body in
+  let st1 = { st0 with S.universe = lazy (fresh :: S.universe st0) } in
+  let a0 = S.answers st0 ~order:q.Drc.head q.Drc.body in
+  let a1 = S.answers st1 ~order:q.Drc.head q.Drc.body in
   if a0 = a1 then None else Some (a0, a1)

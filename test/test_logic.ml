@@ -134,7 +134,24 @@ let prop_miniscope_preserves_semantics =
       let db = Testutil.monadic_db seed in
       let g = F.miniscope f in
       let st1 = S.for_formula f db and st2 = S.for_formula g db in
-      S.eval_sentence st1 f = S.eval_sentence st2 g)
+      S.eval_sentence_naive st1 f = S.eval_sentence st2 g)
+
+let test_miniscope_pushes_negation () =
+  (* the ∀-guard of catalog q3 must come out as ¬∃(guard ∧ ¬…), with no
+     negation left above a ¬, ∧ or ∨ for the range analysis to stop at *)
+  let q = Diagres.Catalog.parsed_drc Diagres.Catalog.q3 in
+  let rec check = function
+    | F.Not (F.Not _ | F.And _ | F.Or _) as g ->
+      Alcotest.failf "negation not pushed: %s" (F.to_string g)
+    | F.Implies _ | F.Forall _ as g ->
+      Alcotest.failf "not eliminated: %s" (F.to_string g)
+    | F.True | F.False | F.Pred _ | F.Cmp _ -> ()
+    | F.Not g | F.Exists (_, g) -> check g
+    | F.And (a, b) | F.Or (a, b) ->
+      check a;
+      check b
+  in
+  check (F.miniscope q.Diagres_rc.Drc.body)
 
 let prop_nnf_fol_preserves_semantics =
   QCheck.Test.make ~name:"Fol: nnf/existentialize preserve truth" ~count:120
@@ -160,7 +177,7 @@ let prop_guards_change_nothing =
       let direct =
         List.filter
           (fun v -> S.holds st [ ("x", v) ] f)
-          st.S.universe
+          (S.universe st)
       in
       List.sort compare (List.map List.hd ans) = List.sort compare direct)
 
@@ -181,7 +198,9 @@ let () =
           Alcotest.test_case "subst" `Quick test_fol_subst;
           Alcotest.test_case "existentialize" `Quick test_fol_existentialize;
           Testutil.qtest prop_nnf_fol_preserves_semantics;
-          Testutil.qtest prop_miniscope_preserves_semantics ] );
+          Testutil.qtest prop_miniscope_preserves_semantics;
+          Alcotest.test_case "miniscope pushes negation" `Quick
+            test_miniscope_pushes_negation ] );
       ( "structure",
         [ Alcotest.test_case "eval" `Quick test_structure_eval;
           Alcotest.test_case "constants extend universe" `Quick

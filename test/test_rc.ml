@@ -315,6 +315,21 @@ let test_drc_restricted_vs_naive () =
         dbs)
     Diagres.Catalog.all
 
+let test_drc_catalog_analytic_size () =
+  (* 3,100 tuples: large enough that enumerating the active domain for
+     q3's ∀-guarded variables (instead of binding them from Boat) takes
+     tens of seconds *)
+  let rdb =
+    D.Generator.sailors_db ~n_sailors:1000 ~n_boats:100 ~n_reserves:2000 7
+  in
+  List.iter
+    (fun e ->
+      Testutil.check_same_rows
+        (Printf.sprintf "%s drc = ra at 1,000 sailors" e.Diagres.Catalog.id)
+        (Diagres_ra.Eval.eval rdb (Diagres.Catalog.parsed_ra e))
+        (Drc.eval rdb (Diagres.Catalog.parsed_drc e)))
+    Diagres.Catalog.[ q1; q2; q3; q4 ]
+
 let prop_trc_restricted_vs_naive =
   QCheck.Test.make ~name:"TRC restricted = full-scan on RA-derived queries"
     ~count:40
@@ -375,6 +390,8 @@ let () =
             test_trc_restricted_vs_naive;
           Alcotest.test_case "drc catalog + random dbs" `Quick
             test_drc_restricted_vs_naive;
+          Alcotest.test_case "drc catalog q1-q4 at 1,000 sailors" `Quick
+            test_drc_catalog_analytic_size;
           Testutil.qtest prop_trc_restricted_vs_naive;
           Testutil.qtest prop_drc_restricted_vs_naive ] );
     ]

@@ -205,13 +205,18 @@ let rec gen_fol_sentence (rand : Random.State.t) fuel bound : Diagres_logic.Fol.
   if fuel <= 0 then atom ()
   else
     let sub b = gen_fol_sentence rand (fuel - 1) b in
-    match Random.State.int rand 6 with
+    let fresh () = Printf.sprintf "v%d" (List.length bound) in
+    match Random.State.int rand 9 with
     | 0 -> F.Not (sub bound)
     | 1 -> F.And (sub bound, sub bound)
     | 2 -> F.Or (sub bound, sub bound)
-    | 3 | 4 ->
-      let x = Printf.sprintf "v%d" (List.length bound) in
+    | 3 -> F.Implies (sub bound, sub bound)
+    | 4 | 5 ->
+      let x = fresh () in
       F.Exists (x, gen_fol_sentence rand (fuel - 1) (x :: bound))
+    | 6 ->
+      let x = fresh () in
+      F.Forall (x, gen_fol_sentence rand (fuel - 1) (x :: bound))
     | _ -> atom ()
 
 let arbitrary_fol_sentence ?(fuel = 4) () =
