@@ -220,10 +220,10 @@ let write_json ~quick ~huge ~domains path =
   Printf.fprintf oc "\"schema_version\": %d,\n" snapshot_schema_version;
   Printf.fprintf oc
     "\"mode\": {\"quick\": %b, \"huge\": %b, \"domains\": \"%s\", \
-     \"columnar\": %b, \"defer\": %b},\n"
+     \"columnar\": %b},\n"
     quick huge
     (String.concat "," (List.map string_of_int domains))
-    !Diagres_ra.Plan.columnar_enabled !Diagres_ra.Plan.defer_gathers;
+    !Diagres_ra.Plan.columnar_enabled;
   output_string oc "\"measurements\": [\n";
   let last = List.length rows - 1 in
   List.iteri
@@ -236,17 +236,12 @@ let write_json ~quick ~huge ~domains path =
     rows;
   output_string oc "],\n\"columnar\": ";
   Printf.fprintf oc
-    "{\"enabled\": %b, \"defer\": %b, \"batches\": %d, \"rows\": %d, \
-     \"fallback_row_mode\": %d, \"gathers_deferred\": %d, \
-     \"gathers_forced\": %d, \"sel_rows\": %d, \"dict_hit\": %d, \
-     \"dict_miss\": %d},\n"
-    !Diagres_ra.Plan.columnar_enabled !Diagres_ra.Plan.defer_gathers
+    "{\"enabled\": %b, \"batches\": %d, \"rows\": %d, \
+     \"fallback_row_mode\": %d, \"dict_hit\": %d, \"dict_miss\": %d},\n"
+    !Diagres_ra.Plan.columnar_enabled
     (T.counter_named "columnar.batches")
     (T.counter_named "columnar.rows")
     (T.counter_named "columnar.fallback_row_mode")
-    (T.counter_named "columnar.gathers_deferred")
-    (T.counter_named "columnar.gathers_forced")
-    (T.counter_named "columnar.sel_rows")
     (T.counter_named "columnar.dict.hit")
     (T.counter_named "columnar.dict.miss");
   output_string oc "\"metrics\": ";
@@ -1062,99 +1057,6 @@ let e14_table ~quick () =
      maintain = differential propagation through the registered plan; \
      recomp = re-plan + re-run on the updated database)\n"
 
-(* E15: late materialization.  Operator pipelines executed three ways on
-   the same physical plan — row mode, columnar with eager gathers (every
-   vectorized operator materializes its survivors), and columnar with
-   deferred gathers (a selection bitmap flows between operators and the
-   gather runs once, at the pipeline's end).  The filter chains are
-   planned without the logical optimizer, which would merge adjacent
-   selections into one conjunct: the point is the cost of an operator
-   {e pipeline} — one gather per operator vs one bitmap flowing through.
-   The timed region forces the final batch, so deferral cannot win by
-   pushing the last gather past the stopwatch. *)
-let e15_table ~quick ~huge () =
-  hr "E15  late materialization: deferred vs eager gathers vs row";
-  let queries n =
-    [ ( "chain2", false,
-        "select[rating > 3](select[age > 30.0](Sailor))" );
-      ( "chain3", false,
-        "select[sid > 10](select[rating > 3](select[age > 30.0](Sailor)))" );
-      ( "filter-project", true,
-        "project[sid, rating](select[rating > 5](Sailor))" );
-      ( "filter-join", true,
-        Printf.sprintf
-          "project[sname](select[rating > 7](Sailor) join select[sid <= \
-           %d](Reserves))"
-          (n / 2) ) ]
-  in
-  let sizes =
-    if quick then [ 1000 ]
-    else if huge then [ 10_000; 100_000; 1_000_000; 10_000_000 ]
-    else [ 10_000; 100_000; 1_000_000 ]
-  in
-  let old_col = !Diagres_ra.Plan.columnar_enabled in
-  let old_defer = !Diagres_ra.Plan.defer_gathers in
-  let sample n f =
-    if n >= 10_000_000 then (
-      Gc.compact ();
-      walltimed3 f)
-    else walltimed3s f
-  in
-  Printf.printf "%-15s %9s %10s %10s %10s %9s %9s %7s\n" "pipeline" "tuples"
-    "row(s)" "eager(s)" "defer(s)" "vs eager" "vs row" "agree";
-  List.iter
-    (fun n ->
-      let rdb = columnar_db n in
-      Gc.compact ();
-      let ntup = Diagres_data.Database.total_tuples rdb in
-      List.iter
-        (fun (qname, optimize, src) ->
-          let plan =
-            Diagres_ra.Planner.plan ~optimize rdb (Diagres_ra.Parser.parse src)
-          in
-          (* force the final materialization inside the timed region *)
-          let run () =
-            let r = Diagres_ra.Plan.run plan in
-            ignore (Diagres_data.Relation.batch r : Diagres_data.Batch.t);
-            r
-          in
-          let mode ~columnar ~defer =
-            Diagres_ra.Plan.columnar_enabled := columnar;
-            Diagres_ra.Plan.defer_gathers := defer;
-            ignore (run ());
-            (* warm: batches converted / tuples decoded *)
-            sample n run
-          in
-          (* deferred first, while only the columns are live; row mode
-             last — its warm-up decodes boxed tuples, which then stay
-             live as relation memos *)
-          let t_defer, r_defer = mode ~columnar:true ~defer:true in
-          let t_eager, r_eager = mode ~columnar:true ~defer:false in
-          let t_row, r_row = mode ~columnar:false ~defer:false in
-          let agree =
-            Diagres_data.Relation.same_rows r_row r_eager
-            && Diagres_data.Relation.same_rows r_row r_defer
-          in
-          let rows = Diagres_data.Relation.cardinality r_row in
-          List.iter
-            (fun (m, t) ->
-              record
-                ~name:(Printf.sprintf "e15/%s/%s/n=%d" qname m n)
-                ~ns:(t *. 1e9) ~tuples:ntup ~rows)
-            [ ("row", t_row); ("eager", t_eager); ("deferred", t_defer) ];
-          Printf.printf "%-15s %9d %10.4f %10.4f %10.4f %8.1fx %8.1fx %7b\n"
-            qname ntup t_row t_eager t_defer (t_eager /. t_defer)
-            (t_row /. t_defer) agree)
-        (queries n);
-      Diagres_ra.Plan.columnar_enabled := old_col;
-      Diagres_ra.Plan.defer_gathers := old_defer)
-    sizes;
-  Printf.printf
-    "(same physical plan all three times; eager = every operator gathers \
-     its survivors, defer = selection bitmaps flow between operators and \
-     the one gather — forced inside the timed region — happens at the \
-     end; chains planned unoptimized so the pipeline is real)\n"
-
 let stage = Staged.stage
 
 let bench_tests () =
@@ -1344,7 +1246,7 @@ let () =
     | None -> if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ]
   in
   (* --only e13,e14: run a subset of the sections (shape, scaling, tc,
-     e11, e12, e13, e14, e15, micro) *)
+     e11, e12, e13, e14, e16, micro) *)
   let only =
     let rec find = function
       | "--only" :: spec :: _ -> Some (String.split_on_char ',' spec)
@@ -1373,7 +1275,6 @@ let () =
   end;
   if want "e13" then e13_table ~quick ~huge ();
   if want "e14" then e14_table ~quick ();
-  if want "e15" then e15_table ~quick ~huge ();
   if want "e16" then e16_memory_table ~quick ~huge ();
   if (not quick) && want "micro" then run_benchmarks ();
   Option.iter (write_json ~quick ~huge ~domains) json_path;

@@ -48,14 +48,14 @@ let gather b (idx : int array) : t =
     cols = Array.map (fun c -> Column.gather c idx) b.cols }
 
 (** Rows of [b] whose bit is set in the word bitmap [bits] (covering all
-    [nrows b] rows) — the materialization point of a deferred selection
-    view.  The selection vector is built once word-skipping and shared
+    [nrows b] rows) — how the vectorized filter materializes its
+    survivors.  The selection vector is built once word-skipping and shared
     across columns, then freed with the call. *)
 let gather_bits b (bits : Column.words) : t =
   gather b (Column.sel_of_bits bits ~lo:0 ~len:b.nrows)
 
-(** Column subset [which] of [b], zero-copy — the late-materializing
-    projection: dropped columns are never touched. *)
+(** Column subset [which] of [b], zero-copy — the vectorized projection:
+    dropped columns are never touched. *)
 let columns b (which : int array) : t =
   { nrows = b.nrows; cols = Array.map (fun c -> b.cols.(c)) which }
 

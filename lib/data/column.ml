@@ -530,8 +530,7 @@ type filler = lo:int -> len:int -> words -> unit
     bench/main.ml), so steady-state batches must reuse memory.  A stack,
     not a single slot: nested connectives in one compiled predicate hold
     several buffers at once.  Buffers handed out here must never escape
-    the callback — a deferred selection view keeps its bitmap alive, so
-    that one allocates fresh. *)
+    the callback. *)
 module Scratch = struct
   let pool : int array list ref Domain.DLS.key =
     Domain.DLS.new_key (fun () -> ref [])

@@ -4,28 +4,21 @@
     The tutorial works throughout with set semantics (RA, RC, and Datalog are
     all set-based); the SQL front-end inserts explicit duplicate elimination.
     The logical value of a relation is a sorted, duplicate-free tuple set;
-    physically it lives in one (or more) of three views of that same set,
-    converted lazily and memoized:
+    physically it lives in one (or more) of three representations of that
+    same set — tset, batch, arr — converted lazily and memoized:
 
     - [tset]: [Stdlib.Set] over [Tuple.compare] — the row-mode substrate all
       the functional operators run on;
     - [batch]: a {e canonical} {!Batch.t} (columns sorted in [Tuple.compare]
       order) — what the vectorized physical operators run on;
     - [arr]: the tuples as a sorted array — what the morsel-parallel row
-      operators chunk over;
-    - [view]: a {e deferred selection} — a base batch plus a word bitmap of
-      selected rows ({!of_view}).  This is the late-materialization
-      representation the vectorized filter/project emit: no gather has
-      happened yet.  Downstream vectorized operators read the bitmap
-      directly ({!view_parts}/{!view_sel}); any consumer that needs one of
-      the other representations forces the gather exactly once, under the
-      lock, and the result is memoized like every other conversion.
+      operators chunk over.
 
-    Any view can be derived from any other, so a relation born columnar
-    (from a vectorized operator, via {!of_batch}) never pays for boxing
-    unless a row-mode consumer actually asks, and vice versa.  Every view
-    enumerates rows in the same order, so cardinality, membership, and
-    equality agree regardless of which views exist.
+    Any representation can be derived from any other, so a relation born
+    columnar (from a vectorized operator, via {!of_batch}) never pays for
+    boxing unless a row-mode consumer actually asks, and vice versa.  All
+    three enumerate rows in the same order, so cardinality, membership,
+    and equality agree regardless of which ones exist.
 
     Each relation additionally carries a mutable cache of secondary hash
     indexes ({!Index}) keyed by attribute-position subsets.  The cache is
@@ -38,44 +31,15 @@ module Tset = Set.Make (struct
   let compare = Tuple.compare
 end)
 
-module T = Diagres_telemetry.Telemetry
-
-(* Late-materialization accounting: a gather is *deferred* when a
-   vectorized operator hands its selection on as a view instead of
-   materializing ([sel_rows] sums the rows carried that way), and *forced*
-   when some consumer later needs the materialized batch after all.
-   deferred − forced = gathers that never happened. *)
-let c_gathers_deferred = T.counter "columnar.gathers_deferred"
-let c_gathers_forced = T.counter "columnar.gathers_forced"
-let c_sel_rows = T.counter "columnar.sel_rows"
-
-(** A deferred selection: the rows of [vbase] whose bit is set in [vbits].
-    [vbase]'s columns are already the relation's output columns (a
-    projection view holds a zero-copy column subset as its base).
-    [vcanonical] asserts the selected rows are sorted and duplicate-free
-    in base order — true for a filter of a canonical batch, false once a
-    projection may have introduced duplicates; non-canonical views pay a
-    [sort_dedup] at materialization.  [vnsel] is the popcount of [vbits]
-    (for non-canonical views an upper bound on the cardinality). *)
-type view = {
-  vbase : Batch.t;
-  vbits : Column.words;
-  vcanonical : bool;
-  vnsel : int;
-  mutable vsel : int array option;  (** memoized ascending selection vector *)
-}
-
 (* The shared row storage.  Fields only ever go [None] -> [Some] (under
    [lock]); the unlocked fast-path reads are safe because a published
    [Some] never changes and OCaml reads of a mutable field are atomic.
-   Invariant: at least one of [tset]/[batch]/[view] is [Some] from
-   construction. *)
+   Invariant: at least one of [tset]/[batch] is [Some] from construction. *)
 type rows = {
   lock : Mutex.t;
   mutable tset : Tset.t option;
   mutable batch : Batch.t option;  (** canonical: sorted, duplicate-free *)
   mutable arr : Tuple.t array option;  (** sorted; treated as read-only *)
-  mutable view : view option;  (** deferred selection, pending gather *)
 }
 
 type t = {
@@ -103,8 +67,7 @@ let fresh schema rows =
    (empty) index/statistics caches keyed on it. *)
 let make schema tuples =
   fresh schema
-    { lock = Mutex.create (); tset = Some tuples; batch = None; arr = None;
-      view = None }
+    { lock = Mutex.create (); tset = Some tuples; batch = None; arr = None }
 
 (** Columnar constructor.  [canonical] asserts the batch is already sorted
     and duplicate-free (e.g. an order-preserving selection from a canonical
@@ -116,31 +79,12 @@ let of_batch ?(canonical = false) schema (b : Batch.t) =
       (Schema.to_string schema);
   let b = if canonical then b else Batch.sort_dedup b in
   fresh schema
-    { lock = Mutex.create (); tset = None; batch = Some b; arr = None;
-      view = None }
-
-(** Deferred-selection constructor: the relation whose rows are the set
-    bits of [bits] over [base], with {e no} gather performed.  [count] is
-    the popcount of [bits]; [canonical] as in {!type-view}.  The bitmap is
-    owned by the view afterwards (callers pass freshly built words, never
-    pooled scratch). *)
-let of_view ?(canonical = true) ~count schema (base : Batch.t)
-    (bits : Column.words) =
-  Schema.check_distinct schema;
-  if Batch.ncols base <> Schema.arity schema then
-    Schema.error "of_view: %d columns do not match schema %s"
-      (Batch.ncols base) (Schema.to_string schema);
-  T.incr c_gathers_deferred;
-  T.add c_sel_rows count;
-  fresh schema
-    { lock = Mutex.create (); tset = None; batch = None; arr = None;
-      view = Some { vbase = base; vbits = bits; vcanonical = canonical;
-                    vnsel = count; vsel = None } }
+    { lock = Mutex.create (); tset = None; batch = Some b; arr = None }
 
 let schema r = r.schema
 let stamp r = r.stamp
 
-(* ---------------- lazy view conversion ---------------- *)
+(* ---------------- lazy conversion ---------------- *)
 
 let with_lock rows f =
   Mutex.lock rows.lock;
@@ -159,41 +103,15 @@ let arr_of_tset ts =
 (* The [_locked] builders assume [rows.lock] is held; they may call each
    other but never re-take the lock. *)
 
-(* selection vector of a pending view, memoized (lock held) *)
-let sel_of_view v =
-  match v.vsel with
-  | Some s -> s
-  | None ->
-    let s = Column.sel_of_bits v.vbits ~lo:0 ~len:(Batch.nrows v.vbase) in
-    v.vsel <- Some s;
-    s
-
-(* the deferred gather finally happens here — once per relation *)
-let batch_of_view_locked rows v =
-  match rows.batch with
-  | Some b -> b
-  | None ->
-    T.incr c_gathers_forced;
-    let g = Batch.gather v.vbase (sel_of_view v) in
-    let b = if v.vcanonical then g else Batch.sort_dedup g in
-    rows.batch <- Some b;
-    b
-
 let arr_locked rows =
   match rows.arr with
   | Some a -> a
   | None ->
     let a =
-      match (rows.tset, rows.batch, rows.view) with
-      | Some ts, _, _ -> arr_of_tset ts
-      | None, Some b, _ -> Batch.to_tuples b
-      | None, None, Some v when v.vcanonical ->
-        (* decode rows straight through the selection vector — a row-mode
-           consumer of a canonical view never pays for the column gather *)
-        let sel = sel_of_view v in
-        Array.init v.vnsel (fun i -> Batch.tuple_at v.vbase sel.(i))
-      | None, None, Some v -> Batch.to_tuples (batch_of_view_locked rows v)
-      | None, None, None -> assert false
+      match (rows.tset, rows.batch) with
+      | Some ts, _ -> arr_of_tset ts
+      | None, Some b -> Batch.to_tuples b
+      | None, None -> assert false
     in
     rows.arr <- Some a;
     a
@@ -212,14 +130,11 @@ let tset_locked rows =
 let batch_locked ~arity rows =
   match rows.batch with
   | Some b -> b
-  | None -> (
-    match rows.view with
-    | Some v -> batch_of_view_locked rows v
-    | None ->
-      (* the array comes from the sorted set, so the batch is canonical *)
-      let b = Batch.of_tuples ~arity (arr_locked rows) in
-      rows.batch <- Some b;
-      b)
+  | None ->
+    (* the array comes from the sorted set, so the batch is canonical *)
+    let b = Batch.of_tuples ~arity (arr_locked rows) in
+    rows.batch <- Some b;
+    b
 
 let force_tset r =
   match r.rows.tset with
@@ -234,7 +149,7 @@ let tuples_array r =
   | Some a -> a
   | None -> with_lock r.rows (fun () -> arr_locked r.rows)
 
-(** The columnar view, built (and memoized) from the rows on first use. *)
+(** The columnar representation, built (and memoized) from the rows on first use. *)
 let batch r =
   match r.rows.batch with
   | Some b -> b
@@ -242,36 +157,9 @@ let batch r =
     with_lock r.rows (fun () ->
         batch_locked ~arity:(Schema.arity r.schema) r.rows)
 
-(** The columnar view if it has already been materialized — the planner's
+(** The columnar representation if it has already been materialized — the planner's
     cheap "is this input columnar?" probe; never forces a conversion. *)
 let peek_batch r = r.rows.batch
-
-(** Whether the relation is columnar-born: a materialized batch {e or} a
-    pending deferred selection.  Never forces a conversion; this is what
-    the row-fallback telemetry tests against. *)
-let is_columnar r =
-  Option.is_some r.rows.batch || Option.is_some r.rows.view
-
-(** The pending deferred selection, if any: [(base, bits, canonical,
-    count)].  [None] once the batch has been materialized (consumers then
-    prefer the batch).  The bitmap is read-only shared state. *)
-let view_parts r =
-  match r.rows.batch with
-  | Some _ -> None
-  | None -> (
-    match r.rows.view with
-    | Some v -> Some (v.vbase, v.vbits, v.vcanonical, v.vnsel)
-    | None -> None)
-
-(** For {e canonical} pending views: the base batch plus the memoized
-    ascending selection vector — what the vectorized hash join probes and
-    builds through without gathering.  [None] for non-canonical views
-    (those must materialize to dedup first) and for non-view relations. *)
-let view_sel r =
-  match (r.rows.batch, r.rows.view) with
-  | None, Some v when v.vcanonical ->
-    Some (v.vbase, with_lock r.rows (fun () -> sel_of_view v))
-  | _ -> None
 
 (* ---------------- cardinality, membership, traversal ---------------- *)
 
@@ -281,13 +169,7 @@ let cardinality r =
   | None -> (
     match r.rows.batch with
     | Some b -> Batch.nrows b
-    | None -> (
-      match r.rows.view with
-      | Some v when v.vcanonical -> v.vnsel  (* no gather for a count *)
-      | Some _ ->
-        (* duplicates possible: only the dedup knows the exact count *)
-        Batch.nrows (batch r)
-      | None -> Tset.cardinal (force_tset r)))
+    | None -> Tset.cardinal (force_tset r))
 
 let is_empty r = cardinality r = 0
 
@@ -299,11 +181,7 @@ let mem tup r =
   | None -> (
     match r.rows.batch with
     | Some b -> Tuple.arity tup = Batch.ncols b && Batch.mem b tup
-    | None ->
-      if Option.is_some r.rows.view then
-        let b = batch r in
-        Tuple.arity tup = Batch.ncols b && Batch.mem b tup
-      else Tset.mem tup (force_tset r))
+    | None -> Tset.mem tup (force_tset r))
 
 let empty schema = make schema Tset.empty
 
@@ -324,22 +202,15 @@ let of_tuples schema tups =
 (** Convenience constructor from value lists. *)
 let of_lists schema rows = of_tuples schema (List.map Tuple.of_list rows)
 
-(* Traversal runs off whichever view exists, in the same (sorted) order;
-   a columnar-born relation is decoded row by row without ever building
-   the set. *)
+(* Traversal runs off whichever representation exists, in the same (sorted)
+   order; a columnar-born relation is decoded row by row without ever
+   building the set. *)
 let iter f r =
-  match r.rows.tset with
-  | Some ts -> Tset.iter f ts
-  | None -> (
-    match r.rows.arr with
-    | Some a -> Array.iter f a
-    | None -> (
-      match r.rows.batch with
-      | Some b -> Batch.iter f b
-      | None ->
-        (* view-backed (or raced): the sorted array decodes through the
-           selection without building the boxed set *)
-        Array.iter f (tuples_array r)))
+  match (r.rows.tset, r.rows.arr, r.rows.batch) with
+  | Some ts, _, _ -> Tset.iter f ts
+  | None, Some a, _ -> Array.iter f a
+  | None, None, Some b -> Batch.iter f b
+  | None, None, None -> assert false
 
 let fold f r init =
   match r.rows.tset with
@@ -364,7 +235,7 @@ let exists p r =
 let map schema f r =
   make schema (fold (fun t acc -> Tset.add (f t) acc) r Tset.empty)
 
-(* Both views enumerate in [Tuple.compare] order, so two relations hold the
+(* All representations enumerate in [Tuple.compare] order, so two relations hold the
    same rows iff their sorted arrays match pointwise — no set forcing. *)
 let same_rows a b =
   cardinality a = cardinality b
@@ -578,10 +449,9 @@ let to_string r = Fmt.str "%a" pp r
 
 (* ---------------- memory accounting ---------------- *)
 
-(** Estimated physical bytes of every materialized view of the tuple set:
-    the canonical batch, the deferred-selection view (base batch + word
-    bitmap + memoized selection vector), the tuple-set nodes, and the
-    sorted array.  The boxed tuple payload shared between [tset] and [arr]
+(** Estimated physical bytes of every materialized representation of the
+    tuple set: the canonical batch, the tuple-set nodes, and the sorted
+    array.  The boxed tuple payload shared between [tset] and [arr]
     is counted once; the columnar batch is independent storage and counted
     in full.  This is what the [memory_bytes.relations] gauge sums. *)
 let memory_bytes (r : t) =
@@ -604,17 +474,7 @@ let memory_bytes (r : t) =
   let batch_bytes =
     match rows.batch with Some b -> Batch.memory_bytes b | None -> 0
   in
-  let view_bytes =
-    match rows.view with
-    | None -> 0
-    | Some v ->
-      Batch.memory_bytes v.vbase
-      + (word * (1 + Array.length v.vbits))
-      + (match v.vsel with
-        | Some s -> word * (1 + Array.length s)
-        | None -> 0)
-  in
-  tuple_payload + tset_nodes + arr_bytes + batch_bytes + view_bytes
+  tuple_payload + tset_nodes + arr_bytes + batch_bytes
 
 (** Estimated heap bytes of the relation's cached secondary indexes and
     statistics (see {!Index.cache_memory_bytes}). *)

@@ -3,7 +3,11 @@
     All operations are purely functional.  This module is the substrate of
     every evaluator in the library (RA, calculus, Datalog); the higher-level
     RA operators live in [Diagres_ra], while the raw set/join/division
-    machinery is here. *)
+    machinery is here.
+
+    Physically a relation holds up to three representations of its tuple
+    set — a sorted set (tset), a canonical column batch (batch) and a
+    sorted array (arr) — each built lazily from another and memoized. *)
 
 type t
 
@@ -36,44 +40,15 @@ val tuples_array : t -> Tuple.t array
     {!Schema.Schema_error} when the column count does not match the schema. *)
 val of_batch : ?canonical:bool -> Schema.t -> Batch.t -> t
 
-(** The columnar view of the relation, built lazily from the rows on first
+(** The columnar representation of the relation, built lazily from the rows on first
     use and memoized.  Canonical: enumerates the tuple set in sorted
     order. *)
 val batch : t -> Batch.t
 
-(** The columnar view if it has already been materialized — never forces a
+(** The columnar representation if it has already been materialized — never forces a
     conversion.  This is how the physical plan decides whether a vectorized
     operator applies. *)
 val peek_batch : t -> Batch.t option
-
-(** Late materialization: a relation may be born as a {e deferred
-    selection} — a base batch plus a word bitmap of selected rows, with no
-    gather performed.  Vectorized consumers read the bitmap or its
-    selection vector directly; any other consumer forces the gather once
-    (memoized, counted as [columnar.gathers_forced]). *)
-
-(** [of_view ~count schema base bits]: the relation selecting the set bits
-    of [bits] (whose popcount is [count]) from [base], deferred.
-    [canonical] (default true) asserts the selected rows are sorted and
-    duplicate-free in base order — pass [false] when duplicates are
-    possible (e.g. after a column projection); those dedup at
-    materialization.  The bitmap is owned by the view afterwards.  Raises
-    {!Schema.Schema_error} when the column count does not match. *)
-val of_view :
-  ?canonical:bool -> count:int -> Schema.t -> Batch.t -> Column.words -> t
-
-(** The pending deferred selection, if any: [(base, bits, canonical,
-    count)].  [None] once a batch exists.  Read-only shared state; never
-    forces anything. *)
-val view_parts : t -> (Batch.t * Column.words * bool * int) option
-
-(** For canonical pending views: the base batch and the memoized ascending
-    selection vector (built on first use, under the relation lock). *)
-val view_sel : t -> (Batch.t * int array) option
-
-(** Whether the relation is columnar-born (materialized batch or pending
-    view); never forces a conversion. *)
-val is_columnar : t -> bool
 
 val mem : Tuple.t -> t -> bool
 val empty : Schema.t -> t
@@ -167,9 +142,9 @@ val active_domain : t -> Value.t list
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** Estimated physical bytes of every materialized view of the tuple set
-    (columnar batch, deferred-selection view, tuple set, sorted array) —
-    the [memory_bytes.relations] gauge substrate. *)
+(** Estimated physical bytes of every materialized representation of the
+    tuple set (columnar batch, tuple set, sorted array) — the
+    [memory_bytes.relations] gauge substrate. *)
 val memory_bytes : t -> int
 
 (** [(index_bytes, stats_bytes)] of the relation's stamp-owned caches. *)

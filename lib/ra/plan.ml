@@ -64,11 +64,6 @@ type t = {
   mutable vec : bool;
       (** planner's choice: take the vectorized (columnar) execution path
           when {!columnar_enabled}; set by {!mark_vectorized} *)
-  mutable fuse : bool;
-      (** planner's choice: this filter/projection may emit a {e deferred
-          selection view} (no gather) because every consumer — or nobody,
-          for the plan root — reads views natively; set by
-          {!mark_fusable}, acted on when {!defer_gathers} *)
 }
 
 and op =
@@ -130,7 +125,7 @@ let mk op schema est est_distinct : t =
   incr node_counter;
   { id = !node_counter; op; schema; est = Float.max 0. est; est_distinct;
     cache = None; evals = 0; hits = 0; actual_ns = -1L;
-    actual_alloc = -1.; detail = []; vec = false; fuse = false }
+    actual_alloc = -1.; detail = []; vec = false }
 
 (* ---------------- parallel execution helpers ---------------- *)
 
@@ -175,12 +170,9 @@ let vec_threshold = ref 256
     of 63 so parallel batches write disjoint bitmap words.) *)
 let batch_rows = ref 4096
 
-(** Late-materialization master switch: when a planner-marked fusable
-    filter/projection runs, emit a deferred selection view (batch + word
-    bitmap, no gather) instead of materializing.  On by default; the
-    differential suites and the E15 bench turn it off in-process to time
-    and check eager gathers.  Checked at execution time, so a cached plan
-    follows the current setting. *)
+(** Has no effect: every vectorized operator gathers eagerly.  Kept only
+    because the perfbench harness still assigns it; the next change to
+    that harness deletes it. *)
 let defer_gathers = ref true
 
 let c_batches = T.counter "columnar.batches"
@@ -260,36 +252,21 @@ let concat_ints (parts : int array array) : int array =
   out
 
 (* σ as a word-bitmap pass: compile the predicate into a bitmap filler
-   once, run it batch by batch into one full-length bitmap, and either
-   emit a deferred selection view (late materialization: no gather at
-   all) or gather the surviving rows here.  A filter over a pending view
-   never gathers its input either: it runs the filler over the view's
-   base batch and ANDs the two bitmaps, so chains of filters fuse into
-   one bitmap with no intermediate materialization.  A selection from a
-   canonical batch keeps canonical order, so the result relation is built
-   without re-sorting; a predicate passing every row returns the input
-   relation unchanged (and shares its caches). *)
+   once, run it batch by batch into one full-length bitmap, and gather the
+   surviving rows through it.  A selection from a canonical batch keeps
+   canonical order, so the result relation is built without re-sorting; a
+   predicate passing every row returns the input relation unchanged (and
+   shares its caches). *)
 let vec_filter n (p : pred) (r : D.Relation.t) : D.Relation.t =
-  let base, prior =
-    match D.Relation.view_parts r with
-    | Some (base, bits, canonical, _) -> (base, Some (bits, canonical))
-    | None -> (D.Relation.batch r, None)
-  in
+  let base = D.Relation.batch r in
   let nrows = D.Batch.nrows base in
   let filler = Vector.compile_pred base n.schema p.ast in
-  let nw = D.Column.words_for nrows in
-  let deferring = n.fuse && !defer_gathers in
   (* every batch writes its own disjoint word range of one full-length
      bitmap (batches are 63-row aligned, so ranges never straddle a word;
-     safe from several domains), and the count / selection / gather run
-     once over the whole relation.  The bitmap escapes into the result
-     view when deferring; otherwise it is per-domain pooled scratch and
+     safe from several domains), and the count and gather run once over
+     the whole relation.  The bitmap is per-domain pooled scratch, so
      steady-state filters allocate nothing here. *)
-  let with_bits k =
-    if deferring then k (Array.make nw 0)
-    else D.Column.Scratch.with_words ~len:nrows k
-  in
-  with_bits @@ fun bits ->
+  D.Column.Scratch.with_words ~len:nrows @@ fun bits ->
   let parts =
     vec_batches ~align:D.Column.bits_per_word nrows (fun lo len ->
         D.Column.Scratch.with_words ~len (fun window ->
@@ -298,61 +275,23 @@ let vec_filter n (p : pred) (r : D.Relation.t) : D.Relation.t =
               (lo / D.Column.bits_per_word)
               (D.Column.words_for len)))
   in
-  (* a pending input selection fuses by AND — never mutating the input's
-     bitmap, which other consumers of the shared node may still read *)
-  let prior_canonical =
-    match prior with
-    | Some (pbits, canonical) ->
-      D.Column.wand bits pbits nw;
-      canonical
-    | None -> true
-  in
   let count = D.Column.count_bits bits ~len:nrows in
   if T.enabled () then
-    n.detail <-
-      ("sel_rows", count) :: ("vec", 1)
-      :: ("batches", Array.length parts) :: n.detail;
+    n.detail <- ("vec", 1) :: ("batches", Array.length parts) :: n.detail;
   if count = nrows then r (* every base row passes: input unchanged *)
   else if count = 0 then D.Relation.empty n.schema
-  else if deferring then begin
-    if T.enabled () then n.detail <- ("deferred", 1) :: n.detail;
-    D.Relation.of_view ~canonical:prior_canonical ~count n.schema base bits
-  end
-  else begin
-    let g = D.Batch.gather_bits base bits in
-    if prior_canonical then D.Relation.of_batch ~canonical:true n.schema g
-    else D.Relation.of_batch n.schema g
-  end
+  else
+    D.Relation.of_batch ~canonical:true n.schema (D.Batch.gather_bits base bits)
 
-(* π with late materialization: the kept columns are re-labeled zero-copy
-   ([Batch.columns] shares the column arrays); only the canonicalizing
-   sort-dedup of the *kept* columns touches data — dropped columns are
-   never read.  A projection of a pending view stays a view over the
-   column subset, sharing the bitmap; it is marked non-canonical (dropping
-   columns can introduce duplicates), so the dedup happens at whoever
-   finally materializes — by then the selection has been fully fused. *)
+(* π: the kept columns are re-labeled zero-copy ([Batch.columns] shares
+   the column arrays); only the canonicalizing sort-dedup of the *kept*
+   columns touches data — dropped columns are never read. *)
 let vec_project n idx (r : D.Relation.t) : D.Relation.t =
-  match D.Relation.view_parts r with
-  | Some (base, bits, _, count) ->
-    let kept = D.Batch.columns base idx in
-    T.add c_batches 1;
-    T.add c_rows count;
-    if n.fuse && !defer_gathers then begin
-      if T.enabled () then
-        n.detail <-
-          ("sel_rows", count) :: ("deferred", 1) :: ("vec", 1) :: n.detail;
-      D.Relation.of_view ~canonical:false ~count n.schema kept bits
-    end
-    else begin
-      if T.enabled () then n.detail <- ("vec", 1) :: n.detail;
-      D.Relation.of_batch n.schema (D.Batch.gather_bits kept bits)
-    end
-  | None ->
-    let b = D.Relation.batch r in
-    T.add c_batches 1;
-    T.add c_rows (D.Batch.nrows b);
-    if T.enabled () then n.detail <- ("vec", 1) :: n.detail;
-    D.Relation.of_batch n.schema (D.Batch.columns b idx)
+  let b = D.Relation.batch r in
+  T.add c_batches 1;
+  T.add c_rows (D.Batch.nrows b);
+  if T.enabled () then n.detail <- ("vec", 1) :: n.detail;
+  D.Relation.of_batch n.schema (D.Batch.columns b idx)
 
 (* Hash join on unboxed int key columns (ints, bools, dictionary codes —
    [Column.join_codes] translates the build side's dictionary into the
@@ -361,41 +300,14 @@ let vec_project n idx (r : D.Relation.t) : D.Relation.t =
    right row) index pairs batch by batch through the pool; the output is
    assembled by gathering left columns and the right rest columns over
    those pairs, with the residual predicate running vectorized over the
-   assembled batch.  Inputs that arrive as {e canonical pending views}
-   (deferred selections) are joined {e through} their selection vectors —
-   build hashes only the selected right rows, probe walks only the
-   selected left rows, and neither side is ever gathered; non-canonical
-   views materialize first (the canonicity argument below needs sorted
-   duplicate-free inputs).  A side with no (selected) rows yields the
-   empty result directly — an empty batch's columns carry no kind, so
-   there is no code view to join on, and none is needed.  [None] when
-   some key pair has no unboxed code view (floats, mixed-kind columns) —
-   the caller then takes the row path. *)
+   assembled batch.  A side with no rows yields the empty result
+   directly — an empty batch's columns carry no kind, so there is no code
+   view to join on, and none is needed.  [None] when some key pair has no
+   unboxed code view (floats, mixed-kind columns) — the caller then takes
+   the row path. *)
 let vec_hash_join n (j : hash_join) lr rr : D.Relation.t option =
-  let lb, lsel =
-    match D.Relation.view_sel lr with
-    | Some (base, sel) -> (base, Some sel)
-    | None -> (D.Relation.batch lr, None)
-  in
-  let rb, rsel =
-    match D.Relation.view_sel rr with
-    | Some (base, sel) -> (base, Some sel)
-    | None -> (D.Relation.batch rr, None)
-  in
-  (* build/probe domains: positions in the selection vector when the
-     input is a pending view, base rows otherwise.  Both selection vectors
-     ascend, so iterating positions in order still visits base rows in
-     order — the canonicity argument below survives unchanged. *)
-  let build_n, build_row =
-    match rsel with
-    | Some s -> (Array.length s, fun k -> Array.unsafe_get s k)
-    | None -> (D.Batch.nrows rb, fun k -> k)
-  in
-  let probe_n, probe_row =
-    match lsel with
-    | Some s -> (Array.length s, fun i -> Array.unsafe_get s i)
-    | None -> (D.Batch.nrows lb, fun i -> i)
-  in
+  let lb = D.Relation.batch lr and rb = D.Relation.batch rr in
+  let build_n = D.Batch.nrows rb and probe_n = D.Batch.nrows lb in
   let lcols = D.Batch.cols lb and rcols = D.Batch.cols rb in
   let rkey = Array.of_list j.rkey in
   let nk = Array.length j.lkey in
@@ -416,37 +328,19 @@ let vec_hash_join n (j : hash_join) lr rr : D.Relation.t option =
     let builds = Array.map (fun p -> snd (Option.get p)) pairs in
     (* single-key joins (the common case) keep the key an unboxed int end
        to end; multi-key joins pay one small key array per row.
-       [iter_matches] takes and yields *base* row indices. *)
+       [iter_matches] takes a left row and yields matching right rows. *)
     let build_ns, iter_matches =
       timed_if (fun () ->
           if nk = 1 then begin
-            let probe = probes.(0) and build = builds.(0) in
-            let tbl =
-              D.Index.build_int1_rows ~n:build_n (fun k ->
-                  build (build_row k))
-            in
-            match rsel with
-            | None -> fun i f -> D.Index.iter_int1_rows tbl (probe i) f
-            | Some s ->
-              fun i f ->
-                D.Index.iter_int1_rows tbl (probe i) (fun k ->
-                    f (Array.unsafe_get s k))
+            let probe = probes.(0) in
+            let tbl = D.Index.build_int1_rows ~n:build_n builds.(0) in
+            fun i f -> D.Index.iter_int1_rows tbl (probe i) f
           end
           else begin
             let lkeyf i = Array.init nk (fun k -> probes.(k) i) in
-            let rkeyf k =
-              let jrow = build_row k in
-              Array.init nk (fun c -> builds.(c) jrow)
-            in
+            let rkeyf k = Array.init nk (fun c -> builds.(c) k) in
             let tbl = D.Index.build_int_rows ~n:build_n rkeyf in
-            match rsel with
-            | None ->
-              fun i f -> List.iter f (D.Index.lookup_int_rows tbl (lkeyf i))
-            | Some s ->
-              fun i f ->
-                List.iter
-                  (fun k -> f (Array.unsafe_get s k))
-                  (D.Index.lookup_int_rows tbl (lkeyf i))
+            fun i f -> List.iter f (D.Index.lookup_int_rows tbl (lkeyf i))
           end)
     in
     let probe_ns, (li, ri) =
@@ -457,8 +351,7 @@ let vec_hash_join n (j : hash_join) lr rr : D.Relation.t option =
             let li = ref (Array.make !cap 0)
             and ri = ref (Array.make !cap 0) in
             let cnt = ref 0 in
-            for pos = lo to lo + len - 1 do
-              let i = probe_row pos in
+            for i = lo to lo + len - 1 do
               iter_matches i (fun jrow ->
                   if !cnt = !cap then begin
                     cap := 2 * !cap;
@@ -616,16 +509,18 @@ let vec_division n (a : t) (b : t) (ra : D.Relation.t) (rb : D.Relation.t) :
     D.Relation.of_batch ~canonical:true n.schema (D.Batch.gather keep_batch sel)
   end
 
-(* A row-mode operator running over an input that was born columnar
-   (materialized batch or pending deferred selection): counted so the
-   telemetry shows where vectorization does not apply.  Both the aggregate
-   counter and a per-operator labelled counter are bumped, so [qviz stats]
-   shows *which* operator fell back (the division holdout, a join with no
-   unboxed key view, …), not just that something did.  Interning the
-   labelled slot takes the registry mutex, but this runs once per operator
-   execution, never per row. *)
+(* A row-mode operator running over an input that was born columnar:
+   counted so the telemetry shows where vectorization does not apply.
+   Both the aggregate counter and a per-operator labelled counter are
+   bumped, so [qviz stats] shows *which* operator fell back (the division
+   holdout, a join with no unboxed key view, …), not just that something
+   did.  Interning the labelled slot takes the registry mutex, but this
+   runs once per operator execution, never per row. *)
 let note_row_fallback n inputs =
-  if !columnar_enabled && List.exists D.Relation.is_columnar inputs then begin
+  if
+    !columnar_enabled
+    && List.exists (fun r -> Option.is_some (D.Relation.peek_batch r)) inputs
+  then begin
     T.incr c_fallback;
     T.incr (T.counter ("columnar.fallback_row_mode." ^ op_kind n))
   end
@@ -840,46 +735,6 @@ let mark_vectorized root =
         | Union (a, b) | Inter (a, b) | Diff (a, b) | Division (a, b) ->
           Float.max a.est b.est >= thr
         | _ -> false))
-    root ()
-
-(** Mark the filters and projections that may emit a {e deferred selection
-    view} (no gather — late materialization) when {!defer_gathers}:
-    exactly the vectorized σ/π whose every consumer reads views natively
-    (a downstream vectorized filter, projection, or hash join), plus the
-    plan root — the final gather is deferred to whoever consumes the
-    result, and a cardinality probe or row-mode decode of a canonical
-    view never pays for the column gather at all.  Everything else —
-    set operations, division, nested-loop joins, row-mode operators — is
-    a pipeline breaker: those force materialization simply by asking the
-    relation for its batch, so fusion marking is a pure optimization and
-    an unmarked node behaves exactly as before.  A DAG-shared node with
-    even one non-view consumer stays unmarked (it would materialize
-    anyway, and eagerly is cheaper than under the relation lock).  Called
-    by {!Planner.plan} after {!mark_vectorized}. *)
-let mark_fusable root =
-  let parents : (int, t list) Hashtbl.t = Hashtbl.create 16 in
-  fold_unique
-    (fun n () ->
-      List.iter
-        (fun c ->
-          let ps = Option.value ~default:[] (Hashtbl.find_opt parents c.id) in
-          Hashtbl.replace parents c.id (n :: ps))
-        (children n))
-    root ();
-  let view_consumer p =
-    p.vec
-    &&
-    match p.op with Filter _ | Project _ | Hash_join _ -> true | _ -> false
-  in
-  fold_unique
-    (fun n () ->
-      n.fuse <-
-        n.vec
-        && (match n.op with Filter _ | Project _ -> true | _ -> false)
-        &&
-        match Hashtbl.find_opt parents n.id with
-        | None | Some [] -> true (* plan root: defer the final gather *)
-        | Some ps -> List.for_all view_consumer ps)
     root ()
 
 (** Reset every node's result memo and counters.  {!run} calls this before

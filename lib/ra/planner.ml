@@ -361,5 +361,4 @@ let plan ?(optimize = true) db (e : Ast.t) : Plan.t =
   let st = { db; env; memo = Hashtbl.create 32 } in
   let n = go st e in
   Plan.mark_vectorized n;
-  Plan.mark_fusable n;
   n

@@ -7,16 +7,15 @@
      kernels (blocked comparison fillers, wand/wor/wnot, popcount,
      word-skipping selection vectors) checked bit-for-bit against the
      row semantics at unaligned offsets and lengths, the scratch pool,
-     batch canonicalization, deferred selection views, and the columnar
-     statistics fast path;
+     batch canonicalization, and the columnar statistics fast path;
 
    - vectorized division (sorted-group merge) against the reference
      evaluator, including the empty-divisor caveat and a nullary
      quotient;
 
    - a qgen-driven 500-query differential: for each generated well-typed
-     RA query, the vectorized planned evaluator — with deferred gathers
-     on AND off — the row-mode planned evaluator, and the naive
+     RA query, the vectorized planned evaluator, the row-mode planned
+     evaluator, and the naive
      tree-walking evaluator must agree — at 1 and at 4 domains, so the
      batched kernels also run through the domain pool. *)
 
@@ -39,21 +38,18 @@ let schemas = Testutil.schemas
    relations (the filter rounds it up to one 63-row word per batch), and
    [par_threshold = 0] routes the batches through the pool.  [columnar]
    toggles the master switch, so the same forcing covers both the
-   vectorized and the row fallback paths; [defer] crosses late
-   materialization (deferred selection views) against eager gathers. *)
-let forcing ?(columnar = true) ?(defer = true) domains f =
+   vectorized and the row fallback paths. *)
+let forcing ?(columnar = true) domains f =
   let old_size = Pool.size () in
   let old_thr = !Plan.par_threshold and old_morsel = !Plan.morsel_size in
   let old_vec = !Plan.vec_threshold and old_batch = !Plan.batch_rows in
   let old_col = !Plan.columnar_enabled in
-  let old_defer = !Plan.defer_gathers in
   Pool.set_size domains;
   Plan.par_threshold := 0;
   Plan.morsel_size := 3;
   Plan.vec_threshold := 0;
   Plan.batch_rows := 3;
   Plan.columnar_enabled := columnar;
-  Plan.defer_gathers := defer;
   Fun.protect
     ~finally:(fun () ->
       Pool.set_size old_size;
@@ -61,8 +57,7 @@ let forcing ?(columnar = true) ?(defer = true) domains f =
       Plan.morsel_size := old_morsel;
       Plan.vec_threshold := old_vec;
       Plan.batch_rows := old_batch;
-      Plan.columnar_enabled := old_col;
-      Plan.defer_gathers := old_defer)
+      Plan.columnar_enabled := old_col)
     f
 
 (* ------------------------------------------------------------------ *)
@@ -317,50 +312,6 @@ let test_of_batch_canonicalizes () =
   Alcotest.(check bool) "mem rejects" false
     (D.Relation.mem (mk [ 2; 1 ]) r)
 
-(* Deferred selection views: of_view must behave exactly like the gather
-   it postpones, for every consumer path (cardinality, tuples, mem,
-   batch), both canonical and not. *)
-let test_deferred_view_semantics () =
-  let n = 130 in
-  let b =
-    D.Batch.make ~nrows:n
-      [| C.of_values (Array.init n (fun i -> V.Int i));
-         C.of_values (Array.init n (fun i -> V.Int (i mod 4))) |]
-  in
-  let schema =
-    [ { D.Schema.name = "x"; ty = V.Tint };
-      { D.Schema.name = "y"; ty = V.Tint } ]
-  in
-  let bits = Array.make (C.words_for n) 0 in
-  (C.fill_with (fun i -> i mod 3 = 0)) ~lo:0 ~len:n bits;
-  let count = C.count_bits bits ~len:n in
-  let v = D.Relation.of_view ~count schema b bits in
-  (* cardinality of a canonical view never gathers *)
-  Alcotest.(check int) "view cardinality" count (D.Relation.cardinality v);
-  (match D.Relation.view_sel v with
-  | None -> Alcotest.fail "canonical view must expose its selection"
-  | Some (base, sel) ->
-    Alcotest.(check bool) "view base shared" true (base == b);
-    Alcotest.(check int) "sel length" count (Array.length sel));
-  let eager = D.Relation.of_batch schema (D.Batch.gather_bits b bits) in
-  Alcotest.(check bool) "view = eager" true (D.Relation.same_rows eager v);
-  Alcotest.(check bool) "mem through view" true
-    (D.Relation.mem [| V.Int 3; V.Int 3 |] v);
-  (* a non-canonical view (here: duplicates from a projection) dedups at
-     materialization *)
-  let bits2 = Array.make (C.words_for n) 0 in
-  (C.fill_with (fun i -> i < 10)) ~lo:0 ~len:n bits2;
-  let ys = D.Batch.columns b [| 1 |] in
-  let vy =
-    D.Relation.of_view ~canonical:false ~count:10
-      [ { D.Schema.name = "y"; ty = V.Tint } ]
-      ys bits2
-  in
-  Alcotest.(check bool) "non-canonical view hides sel" true
-    (D.Relation.view_sel vy = None);
-  Alcotest.(check int) "deduped at materialization" 4
-    (D.Relation.cardinality vy)
-
 let test_distinct_sorted_paths () =
   (* the single-column dedup has a linear fast path for already-sorted
      int columns and a hashtable path otherwise — same result required *)
@@ -407,7 +358,8 @@ let test_stats_columnar_fast_path () =
     (D.Database.relations db)
 
 (* Late materialization: project-after-join drops columns without
-   decoding them; the result must still match the naive evaluator. *)
+   decoding them ([Batch.columns] is zero-copy); the result must still
+   match the naive evaluator. *)
 let test_late_materialization_project_after_join () =
   let parse = Diagres_ra.Parser.parse in
   let queries =
@@ -421,15 +373,11 @@ let test_late_materialization_project_after_join () =
       let naive = Diagres_ra.Eval.eval db e in
       List.iter
         (fun domains ->
-          List.iter
-            (fun defer ->
-              forcing ~defer domains (fun () ->
-                  Testutil.check_same_rows
-                    (Printf.sprintf "%s at %d domains defer=%b" q domains
-                       defer)
-                    naive
-                    (Plan.run (Planner.plan db e))))
-            [ true; false ])
+          forcing domains (fun () ->
+              Testutil.check_same_rows
+                (Printf.sprintf "%s at %d domains" q domains)
+                naive
+                (Plan.run (Planner.plan db e))))
         [ 1; 4 ])
     queries
 
@@ -494,33 +442,7 @@ let test_counters () =
       in
       ignore (Plan.run (Planner.plan db e) : D.Relation.t));
   Alcotest.(check int) "division does not fall back" fb1
-    (T.counter_named "columnar.fallback_row_mode");
-  (* a fused filter chain defers its gathers and counts them *)
-  let d0 = T.counter_named "columnar.gathers_deferred" in
-  forcing 1 (fun () ->
-      let e =
-        Diagres_ra.Parser.parse
-          "select[rating > 3](select[age > 20.0](Sailor))"
-      in
-      let r = Plan.run (Planner.plan db e) in
-      let naive =
-        Diagres_ra.Eval.eval db
-          (Diagres_ra.Parser.parse
-             "select[rating > 3](select[age > 20.0](Sailor))")
-      in
-      Testutil.check_same_rows "fused chain" naive r);
-  Alcotest.(check bool) "gathers deferred counted" true
-    (T.counter_named "columnar.gathers_deferred" > d0);
-  (* with deferral off, the same plan defers nothing *)
-  let d1 = T.counter_named "columnar.gathers_deferred" in
-  forcing ~defer:false 1 (fun () ->
-      let e =
-        Diagres_ra.Parser.parse
-          "select[rating > 3](select[age > 20.0](Sailor))"
-      in
-      ignore (Plan.run (Planner.plan db e) : D.Relation.t));
-  Alcotest.(check int) "eager mode defers nothing" d1
-    (T.counter_named "columnar.gathers_deferred")
+    (T.counter_named "columnar.fallback_row_mode")
 
 (* A vectorized join with an empty input answers empty without touching
    key columns — an empty batch's columns carry no kind, so asking for a
@@ -545,9 +467,62 @@ let test_empty_side_join () =
       "project[sname](select[rating > 100](Sailor) join select[bid < 0](Reserves))"
     ]
 
+(* Observing the engine must not change what runs: the same plans, run
+   untraced and then traced, return the same rows and count the same
+   vectorized work.  The pipelines are planned unoptimized (the
+   optimizer would merge adjacent selections), at 1 and 4 domains. *)
+let test_tracing_leaves_execution () =
+  let tdb =
+    D.Generator.sailors_db ~n_sailors:1000 ~n_boats:100 ~n_reserves:2000 1
+  in
+  let queries =
+    [ "select[rating > 3](select[age > 30.0](Sailor))";
+      "select[sid > 10](select[rating > 3](select[age > 30.0](Sailor)))";
+      "project[sid, rating](select[rating > 5](Sailor))";
+      "project[sname](select[rating > 7](Sailor) join select[sid <= \
+       500](Reserves))";
+      "select[rating > 5](project[sid, rating](select[age > 30.0](Sailor)))" ]
+  in
+  let counters =
+    [ "columnar.batches"; "columnar.rows"; "columnar.fallback_row_mode" ]
+  in
+  let measured plan =
+    let before = List.map T.counter_named counters in
+    let r = Plan.run plan in
+    (r, List.map2 (fun c b -> T.counter_named c - b) counters before)
+  in
+  let old_size = Pool.size () in
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_enabled false;
+      Pool.set_size old_size)
+    (fun () ->
+      List.iter
+        (fun domains ->
+          Pool.set_size domains;
+          List.iter
+            (fun src ->
+              let plan =
+                Planner.plan ~optimize:false tdb (Diagres_ra.Parser.parse src)
+              in
+              ignore (Plan.run plan : D.Relation.t);
+              let r_off, d_off = measured plan in
+              T.set_enabled true;
+              T.reset_spans ();
+              let r_on, d_on = measured plan in
+              T.set_enabled false;
+              let what = Printf.sprintf "%s at %d domains" src domains in
+              Testutil.check_same_rows what r_off r_on;
+              List.iter2
+                (fun c (off, on) ->
+                  Alcotest.(check int) (Printf.sprintf "%s: %s" what c) off on)
+                counters (List.combine d_off d_on))
+            queries)
+        [ 1; 4 ])
+
 (* ------------------------------------------------------------------ *)
-(* The 500-query differential: columnar (deferred and eager) ≡ row ≡   *)
-(* naive at 1 and 4 domains, with forced-small batches.                *)
+(* The 500-query differential: columnar ≡ row ≡ naive at 1 and 4      *)
+(* domains, with forced-small batches.                                 *)
 
 let fuzz_n =
   match Sys.getenv_opt "DIAGRES_FUZZ_N" with
@@ -561,21 +536,13 @@ let test_differential () =
     let naive = Diagres_ra.Eval.eval db e in
     List.iter
       (fun domains ->
-        let run ~columnar ~defer =
-          forcing ~columnar ~defer domains (fun () ->
-              Plan.run (Planner.plan db e))
+        let run ~columnar =
+          forcing ~columnar domains (fun () -> Plan.run (Planner.plan db e))
         in
-        let deferred = run ~columnar:true ~defer:true
-        and eager = run ~columnar:true ~defer:false
-        and row = run ~columnar:false ~defer:true in
-        if not (D.Relation.same_rows naive deferred) then
-          Alcotest.failf
-            "#%d at %d domains: deferred columnar diverges from naive:\n%s" i
-            domains (Diagres_ra.Pretty.ascii e);
-        if not (D.Relation.same_rows naive eager) then
-          Alcotest.failf
-            "#%d at %d domains: eager columnar diverges from naive:\n%s" i
-            domains (Diagres_ra.Pretty.ascii e);
+        let columnar = run ~columnar:true and row = run ~columnar:false in
+        if not (D.Relation.same_rows naive columnar) then
+          Alcotest.failf "#%d at %d domains: columnar diverges from naive:\n%s"
+            i domains (Diagres_ra.Pretty.ascii e);
         if not (D.Relation.same_rows naive row) then
           Alcotest.failf "#%d at %d domains: row mode diverges from naive:\n%s"
             i domains (Diagres_ra.Pretty.ascii e))
@@ -585,20 +552,17 @@ let test_differential () =
 (* QCheck variant over Testutil's generator: different query shapes
    (products with renamed-apart sides, disjunctions), with shrinking. *)
 let prop_columnar_matches_row =
-  QCheck.Test.make ~name:"columnar (deferred/eager) = row = naive (1/4 domains)"
-    ~count:120
+  QCheck.Test.make ~name:"qcheck: columnar = row = naive" ~count:120
     (Testutil.arbitrary_ra ())
     (fun e ->
       let naive = Diagres_ra.Eval.eval db e in
       List.for_all
         (fun domains ->
-          let run ~columnar ~defer =
-            forcing ~columnar ~defer domains (fun () ->
-                Plan.run (Planner.plan db e))
+          let run ~columnar =
+            forcing ~columnar domains (fun () -> Plan.run (Planner.plan db e))
           in
-          D.Relation.same_rows naive (run ~columnar:true ~defer:true)
-          && D.Relation.same_rows naive (run ~columnar:true ~defer:false)
-          && D.Relation.same_rows naive (run ~columnar:false ~defer:true))
+          D.Relation.same_rows naive (run ~columnar:true)
+          && D.Relation.same_rows naive (run ~columnar:false))
         [ 1; 4 ])
 
 let () =
@@ -623,8 +587,6 @@ let () =
       ( "relations",
         [ Alcotest.test_case "of_batch canonicalizes" `Quick
             test_of_batch_canonicalizes;
-          Alcotest.test_case "deferred view semantics" `Quick
-            test_deferred_view_semantics;
           Alcotest.test_case "distinct_sorted paths" `Quick
             test_distinct_sorted_paths;
           Alcotest.test_case "tuples_array memoized" `Quick
@@ -638,8 +600,10 @@ let () =
             test_division_vec ] );
       ( "telemetry",
         [ Alcotest.test_case "columnar counters" `Quick test_counters;
-          Alcotest.test_case "empty-side join" `Quick test_empty_side_join ] );
+          Alcotest.test_case "empty-side join" `Quick test_empty_side_join;
+          Alcotest.test_case "tracing leaves execution as is" `Quick
+            test_tracing_leaves_execution ] );
       ( "differential",
-        [ Alcotest.test_case "500 queries, deferred = eager = row = naive"
-            `Slow test_differential;
+        [ Alcotest.test_case "qgen: columnar = row = naive" `Slow
+            test_differential;
           Testutil.qtest prop_columnar_matches_row ] ) ]
