@@ -709,10 +709,10 @@ module Pool = Diagres_pool.Pool
 
 (* The domain sweep (--domains 1,2,4,8): the join-heavy E11 workloads plus
    a Datalog transitive closure, executed by the same compiled plan at
-   each domain count.  Plans are built once and re-run (Plan.run resets
-   the per-node memos), so the sweep isolates the execution layer; a
-   warm-up run populates the relation-level index caches first so every
-   domain count probes the same read-only structures. *)
+   each domain count.  Plans are built once and re-run (each Plan.run
+   computes every node afresh), so the sweep isolates the execution
+   layer; a warm-up run populates the relation-level index caches first
+   so every domain count probes the same read-only structures. *)
 let e12_parallel_table ~quick ~domains () =
   hr "E12  morsel-parallel execution: domain sweep (wall-clock)";
   let theta =
@@ -874,8 +874,8 @@ let e12_plan_cache_table ~quick () =
           ~n_reserves:2000 1007 ) ];
   Printf.printf
     "(cold = optimize+plan+execute per call; warm = LRU plan-cache hit, \
-     execute only; both paths reset per-node memos, so every eval touches \
-     the data)\n"
+     execute only; every run computes its nodes afresh, so every eval \
+     touches the data)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E13: the columnar substrate.  The same physical plan executed twice —

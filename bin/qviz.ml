@@ -195,17 +195,17 @@ let eval_cmd =
     if explain || analyze then begin
       let ra = Diagres.Languages.to_ra (schemas_of db) q in
       let plan, cached = Diagres_ra.Plan_cache.find_or_plan db ra in
-      let result = Diagres_ra.Plan.run plan in
-      (* memory gauges over the post-run state: relation storage, caches,
-         plan-cache memos — also sampled onto the trace's counter tracks *)
+      let result, profile = Diagres_ra.Plan.run_profiled plan in
+      (* memory gauges over the post-run state: relation storage and
+         caches — also sampled onto the trace's counter tracks *)
       Diagres.Views.refresh_memory_gauges db;
-      (* explain after exec so every operator line shows actual counts *)
+      (* every operator line shows the run profile's actual counts *)
       print_string
-        (if analyze then Diagres_ra.Plan.analyze plan
-         else Diagres_ra.Plan.explain plan);
+        (if analyze then Diagres_ra.Plan.analyze profile plan
+         else Diagres_ra.Plan.explain profile plan);
       Printf.printf "evaluated %d plan nodes, %d served from the shared-subtree memo\n"
-        (Diagres_ra.Plan.total_evals plan)
-        (Diagres_ra.Plan.total_hits plan);
+        (Diagres_ra.Plan.total_evals profile)
+        (Diagres_ra.Plan.total_hits profile);
       let hits, misses = Diagres_ra.Plan_cache.stats () in
       Printf.printf "domains: %d   plan cache: %s (hits=%d misses=%d)\n"
         (Diagres_pool.Pool.size ())
@@ -214,14 +214,13 @@ let eval_cmd =
       if analyze then begin
         print_phases ();
         Printf.printf "peak rows resident: %d   memory: relations=%s caches=%s\n"
-          (T.gauge_named "exec.peak_rows_resident")
+          (Diagres_ra.Plan.peak_rows_resident profile)
           (T.bytes_to_string
              (float_of_int (T.gauge_named "memory_bytes.relations")))
           (T.bytes_to_string
              (float_of_int
                 (T.gauge_named "memory_bytes.index_cache"
-                + T.gauge_named "memory_bytes.stats_cache"
-                + T.gauge_named "memory_bytes.plan_cache")))
+                + T.gauge_named "memory_bytes.stats_cache")))
       end;
       print_newline ();
       print_string (Diagres_data.Relation.to_string result)

@@ -7,9 +7,9 @@
     parses the query in any supported language, lowers it to RA, plans it
     through the shared LRU plan cache ({!Diagres_ra.Plan_cache}) — the
     registered plan is the {e same object} any ad-hoc
-    {!Diagres_ra.Eval.eval_planned} of that query gets served, which is
-    exactly why all differential state lives with the view, never on plan
-    nodes — runs it once, and (optionally) renders the query's diagram.
+    {!Diagres_ra.Eval.eval_planned} of that query gets served (plans are
+    immutable, so all differential state lives with the view) — runs it
+    once, and (optionally) renders the query's diagram.
     {!update} applies batches through {!Diagres_data.Database.apply_delta}
     and propagates the normalized deltas through every registered view.
 
@@ -29,7 +29,7 @@ type view = {
   source : string;
   query : Languages.query;
   ra : Ra.Ast.t;
-  plan : Ra.Plan.t;  (** shared with the plan cache — treat as read-only *)
+  plan : Ra.Plan.t;  (** shared with the plan cache (immutable) *)
   delta : Ra.Delta.t;
   rendering : Pipeline.rendering option;
   mutable generation : int;  (** update batches applied *)
@@ -117,14 +117,14 @@ module T = Diagres_telemetry.Telemetry
 let g_relations = T.gauge "memory_bytes.relations"
 let g_index_cache = T.gauge "memory_bytes.index_cache"
 let g_stats_cache = T.gauge "memory_bytes.stats_cache"
-let g_plan_cache = T.gauge "memory_bytes.plan_cache"
 let g_delta_state = T.gauge "memory_bytes.delta_state"
 let g_plan_entries = T.gauge "plan_cache.entries"
 
 (** Recompute the [memory_bytes.*] gauges: relation storage (all
     materialized views of every relation), the stamp-owned index and
-    statistics caches, the LRU plan cache's resident memos, and the
-    differential state of [views].  Also drops one sample per gauge onto
+    statistics caches, and the differential state of [views] — plus the
+    [plan_cache.entries] count (cached plans hold no results, so they
+    have no bytes gauge).  Also drops one sample per gauge onto
     the trace's counter tracks when tracing is on, so [--trace-json]
     output carries a memory timeline. *)
 let refresh_memory_gauges ?(views : view list = []) (db : D.Database.t) :
@@ -139,7 +139,6 @@ let refresh_memory_gauges ?(views : view list = []) (db : D.Database.t) :
   T.set_gauge g_relations rel;
   T.set_gauge g_index_cache idx;
   T.set_gauge g_stats_cache st;
-  T.set_gauge g_plan_cache (Ra.Plan_cache.memory_bytes ());
   T.set_gauge g_plan_entries (Ra.Plan_cache.entries ());
   T.set_gauge g_delta_state
     (List.fold_left (fun acc v -> acc + Ra.Delta.memory_bytes v.delta) 0 views);

@@ -21,7 +21,7 @@
       counts.)
     - {b hash/nl join}: Δ(L ⋈ R) = ΔL ⋈ R_old ∪ L_new ⋈ ΔR, evaluated by
       {e ephemeral} join nodes over the delta and the maintained inputs
-      ({!Plan.exec_fresh}), so the existing kernels — including the
+      (run through {!Plan.run}), so the existing kernels — including the
       per-relation cached join-side indexes — do the work.  The hash join
       probes the delta side and builds (or reuses the cached index) on
       the stable side; when only one input changes, each round is O(|Δ|)
@@ -39,15 +39,15 @@
 
     {b Where state lives.}  All differential state — maintained per-node
     results, projection support counts — belongs to the view (this [t]),
-    {e never} to plan nodes: plans are shared through the LRU plan cache,
-    and any ad-hoc {!Plan.run} of the same plan resets the per-evaluation
-    node memos.  {!init} runs the plan once and snapshots every needed
-    node result into the view; {!maintain} reads and writes only this
-    view's state plus freshly built ephemeral nodes, so concurrent reuse
-    of the registered plan cannot corrupt maintenance.  Intermediate
-    results are snapshotted only where a rule above reads them (join and
-    set-op inputs, division, the root); pure filter/project chains keep
-    no intermediates. *)
+    keyed by node id; plans are immutable and shared through the LRU plan
+    cache.  {!init} runs the plan once ({!Plan.run_profiled}) and
+    snapshots every needed node result from that run's profile into the
+    view; {!maintain} reads and writes only this view's state, running
+    ephemeral nodes per round, so other runs of the registered plan —
+    on any domain — cannot disturb maintenance.  Intermediate results are
+    snapshotted only where a rule above reads them (join and set-op
+    inputs, division, the root); pure filter/project chains keep no
+    intermediates. *)
 
 module D = Diagres_data
 module R = D.Relation
@@ -140,20 +140,15 @@ let bump tb u k =
   if c = 0 then TH.remove tb u else TH.replace tb u c;
   c
 
-(** Run the plan once (through {!Plan.run}, so the per-node memos are
-    freshly filled) and snapshot the node results and projection support
-    counts into view-owned state. *)
+(** Run the plan once and snapshot the node results of that run's
+    profile and the projection support counts into view-owned state. *)
 let init (plan : Plan.t) : t =
-  let result = Plan.run plan in
+  let result, prof = Plan.run_profiled plan in
   let needed = mark_needed plan in
   let states = Hashtbl.create 32 in
   Plan.fold_unique
     (fun (n : Plan.t) () ->
-      let cached c =
-        match c.Plan.cache with
-        | Some r -> r
-        | None -> assert false (* Plan.run executed every reachable node *)
-      in
+      let cached = Plan.result prof in
       let support =
         match n.Plan.op with
         | Plan.Project (idx, c) ->
@@ -174,10 +169,10 @@ let rounds (t : t) = t.rounds
 
 (* ---------------- ephemeral delta nodes ---------------- *)
 
-(* Delta plans are assembled from *fresh* nodes wrapping the delta and
-   maintained relations, and executed with Plan.exec_fresh: they never
-   alias the registered plan's nodes, so its per-evaluation memos — which
-   any plan-cache user may reset at any time — stay irrelevant here. *)
+(* Delta plans are assembled from fresh nodes wrapping the delta and
+   maintained relations and run like any plan.  The hash joins stay row
+   mode, so each round probes the stable side's cached per-relation
+   index instead of rebuilding a columnar one. *)
 
 let unit_dist (schema : D.Schema.t) = Array.make (D.Schema.arity schema) 1.
 
@@ -194,11 +189,11 @@ let scan_of (r : R.t) : Plan.t =
 let run_filter (schema : D.Schema.t) (p : Plan.pred) (rel : R.t) : R.t =
   if R.is_empty rel then rel
   else if !Plan.columnar_enabled && R.cardinality rel >= !Plan.vec_threshold
-  then begin
-    let node = Plan.mk (Plan.Filter (p, scan_of rel)) schema 0. (unit_dist schema) in
-    node.Plan.vec <- true;
-    Plan.exec_fresh node
-  end
+  then
+    Plan.run
+      (Plan.mk ~vec:true
+         (Plan.Filter (p, scan_of rel))
+         schema 0. (unit_dist schema))
   else R.filter p.Plan.holds rel
 
 (* ΔL ⋈ R (probe the delta on the left, build — or reuse the cached
@@ -207,7 +202,7 @@ let hash_join_delta (n : Plan.t) (j : Plan.hash_join) ~(probe : R.t)
     ~(build : R.t) : R.t =
   if R.is_empty probe || R.is_empty build then R.empty n.Plan.schema
   else
-    Plan.exec_fresh
+    Plan.run
       (Plan.mk
          (Plan.Hash_join
             { j with Plan.left = scan_of probe; right = scan_of build })
@@ -248,7 +243,7 @@ let hash_join_delta_swapped (n : Plan.t) (j : Plan.hash_join)
              residual = None })
         swapped_schema 0. (unit_dist swapped_schema)
     in
-    let joined = Plan.exec_fresh swapped in
+    let joined = Plan.run swapped in
     (* positions in the swapped output for each column of n.schema *)
     let rkey = Array.of_list j.Plan.rkey in
     let rank_in_rest p =
@@ -277,7 +272,7 @@ let nl_join_delta (n : Plan.t) (p : Plan.pred option) (da : R.t) (rb : R.t) :
     R.t =
   if R.is_empty da || R.is_empty rb then R.empty n.Plan.schema
   else
-    Plan.exec_fresh
+    Plan.run
       (Plan.mk
          (Plan.Nl_join (p, scan_of da, scan_of rb))
          n.Plan.schema 0. (unit_dist n.Plan.schema))

@@ -75,8 +75,9 @@ let rec eval db (e : Ast.t) : D.Relation.t =
     the morsel threshold — parallel physical operators over the domain
     pool.  The plan itself is served from the LRU {!Plan_cache} (keyed on
     the canonicalized AST and the database stamp), so a repeated query
-    skips optimize + plan entirely; {!Plan.run} resets the per-node memos
-    first, making reuse observationally identical to planning afresh.
+    skips optimize + plan entirely; plans are immutable and each
+    {!Plan.run} keeps its results in its own profile, making reuse
+    observationally identical to planning afresh.
     Agrees with the tree-walking {!eval} (property-tested); [eval] remains
     as the naive reference. *)
 let eval_planned db e =

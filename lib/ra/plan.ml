@@ -11,20 +11,24 @@
       cached hash indexes ({!Diagres_data.Relation.matching}) instead of
       filtering a materialized cartesian product;
     - {b shared-subtree memoization} — structurally equal subexpressions
-      are hash-consed to a single node whose result is computed once and
-      served from cache afterwards ([evals]/[hits] count both, which the
-      tests pin).
+      are hash-consed to a single node whose result each run computes once
+      and serves from its memo afterwards.
 
-    Every node carries its estimated cardinality; after execution the
-    actual cardinality is available from the cached result, which is what
-    [qviz --explain] prints as [est=… actual=…].
+    A plan is an immutable value once planning ends: nodes carry no
+    per-run state, so one plan is shared freely through the LRU
+    {!Plan_cache} by direct evaluation, registered views and concurrent
+    runs on several domains.  Everything a run produces lives in its own
+    {!profile}, keyed by node id: the memoized results (actual row counts
+    are read from these), memo hits, operator details and, under
+    telemetry, time and allocation.  {!run_profiled} returns the profile
+    beside the result; {!explain}/{!analyze} render a plan against one.
 
     Each operator has one execution path per storage form.  Nodes the
-    planner marks vectorized ({!mark_vectorized}: estimated input at or
+    planner builds vectorized ({!vectorizable}: estimated input at or
     above {!vec_threshold} rows) run the columnar kernels, which are
     {b morsel-parallel} over the shared domain pool
     ({!Diagres_pool.Pool}): inputs above {!par_threshold} rows are split
-    into batches evaluated across the pool ({!vec_batches}).  Unmarked
+    into batches evaluated across the pool ({!vec_batches}).  Other
     nodes run one sequential row path at any pool size — small inputs
     gain nothing from the pool, and the sequential hash join keeps using
     the build side's cached per-relation index.  The nested-loop join,
@@ -32,7 +36,8 @@
     path; it merges its per-chunk results through {!D.Relation.of_tuples},
     whose sorted-set construction restores the [Relation.tuples] ordering
     contract, so every result is {e identical} at any domain count
-    (property-tested). *)
+    (property-tested).  Only the calling domain walks the plan; pool
+    workers run kernel batches and never touch the profile. *)
 
 module D = Diagres_data
 module Pool = Diagres_pool.Pool
@@ -44,26 +49,14 @@ module T = Diagres_telemetry.Telemetry
 type pred = { display : string; holds : D.Tuple.t -> bool; ast : Ast.pred }
 
 type t = {
-  id : int;                             (** stable id, used by explain *)
+  id : int;                             (** stable id, keys the profile *)
   op : op;
   schema : D.Schema.t;                  (** output schema *)
   est : float;                          (** estimated output rows *)
   est_distinct : float array;           (** estimated distinct per column *)
-  mutable cache : D.Relation.t option;  (** memo: result of the first exec *)
-  mutable evals : int;                  (** times the result was computed *)
-  mutable hits : int;                   (** times served from the memo *)
-  mutable actual_ns : int64;
-      (** wall time of the last compute, children included; -1 = untimed *)
-  mutable actual_alloc : float;
-      (** bytes allocated by the last compute on the executing domain,
-          children included; -1 = untracked (alloc tracking off) *)
-  mutable detail : (string * int) list;
-      (** operator-specific measurements from the last traced compute:
-          [build_ns]/[probe_ns] for hash joins, [morsels] for the
-          parallel paths, [vec]/[batches] for the vectorized paths *)
-  mutable vec : bool;
-      (** planner's choice: take the vectorized (columnar) execution path
-          when {!columnar_enabled}; set by {!mark_vectorized} *)
+  vec : bool;
+      (** take the vectorized (columnar) execution path when
+          {!columnar_enabled}; the planner decides by {!vectorizable} *)
 }
 
 and op =
@@ -117,16 +110,6 @@ let rec compile schema = function
 let compile_pred schema p : pred =
   { display = Pretty.pred_to_string p; holds = compile schema p; ast = p }
 
-(* ---------------- node construction ---------------- *)
-
-let node_counter = ref 0
-
-let mk op schema est est_distinct : t =
-  incr node_counter;
-  { id = !node_counter; op; schema; est = Float.max 0. est; est_distinct;
-    cache = None; evals = 0; hits = 0; actual_ns = -1L;
-    actual_alloc = -1.; detail = []; vec = false }
-
 (* ---------------- parallel execution helpers ---------------- *)
 
 (** Minimum input cardinality before an operator takes its parallel path.
@@ -175,9 +158,62 @@ let batch_rows = ref 4096
     that harness deletes it. *)
 let defer_gathers = ref true
 
+(* ---------------- node construction ---------------- *)
+
+(* Atomic: nodes are built on several domains at once (planning on a
+   plan-cache miss, Delta's per-round nodes), and ids key every run's
+   profile, so two nodes must never share one. *)
+let node_counter = Atomic.make 0
+
+let mk ?(vec = false) op schema est est_distinct : t =
+  { id = Atomic.fetch_and_add node_counter 1 + 1; op; schema;
+    est = Float.max 0. est; est_distinct; vec }
+
+(** Whether the planner builds [op] vectorized: filters and projections
+    whose estimated input clears {!vec_threshold} rows, hash joins where
+    either side does, set operations (union / intersect / minus)
+    likewise — canonical batches are sorted and duplicate-free, so those
+    run as single linear merges with no hashing or boxing — and division
+    (sorted-group merge, {!vec_division}).  Nested-loop joins stay in row
+    mode — their sorted-set implementation already runs without per-row
+    closure dispatch, and vectorizing them does not pay.  The flag is only
+    acted on at execution time, so one plan serves both modes. *)
+let vectorizable op =
+  let thr = float_of_int !vec_threshold in
+  match op with
+  | Filter (_, c) | Project (_, c) -> c.est >= thr
+  | Hash_join j -> Float.max j.left.est j.right.est >= thr
+  | Union (a, b) | Inter (a, b) | Diff (a, b) | Division (a, b) ->
+    Float.max a.est b.est >= thr
+  | _ -> false
+
 let c_batches = T.counter "columnar.batches"
 let c_rows = T.counter "columnar.rows"
 let c_fallback = T.counter "columnar.fallback_row_mode"
+
+(* ---------------- per-run profile ---------------- *)
+
+(** What one run recorded at one node. *)
+type node_run = {
+  result : D.Relation.t;   (** the node's result, memoized for this run *)
+  mutable hits : int;      (** times this run served it from the memo *)
+  ns : int64;
+      (** wall time of the compute, children included; -1 = untimed
+          (telemetry off) *)
+  alloc : float;
+      (** bytes allocated by the compute on the executing domain, children
+          included; -1 = untracked (alloc tracking off) *)
+  detail : (string * int) list;
+      (** operator-specific measurements in recording order: [vec] /
+          [batches] for the vectorized paths, [morsels] for the parallel
+          ones, and under telemetry [build_ns] / [probe_ns] for hash
+          joins *)
+}
+
+(** One run's profile, keyed by node id: its memo plus what it measured.
+    Only the run that made it writes it, so runs of one shared plan never
+    see each other's state. *)
+type profile = (int, node_run) Hashtbl.t
 
 (* ---------------- execution ---------------- *)
 
@@ -215,10 +251,13 @@ let timed_if f =
     (Int64.to_int (Int64.sub (T.now_ns ()) t0), r)
   end
 
-(* record the morsel count of a parallel path on the node *)
-let note_morsels n len chunk =
-  if T.enabled () then
-    n.detail <- ("morsels", (len + chunk - 1) / max 1 chunk) :: n.detail
+(* Operator details of the compute in progress, newest first; {!exec}
+   stores them on the node's profile entry. *)
+type notes = (string * int) list ref
+
+(* record the morsel count of a parallel path *)
+let note_morsels (d : notes) len chunk =
+  d := ("morsels", (len + chunk - 1) / max 1 chunk) :: !d
 
 (* ---------------- vectorized operators ---------------- *)
 
@@ -257,7 +296,7 @@ let concat_ints (parts : int array array) : int array =
    canonical order, so the result relation is built without re-sorting; a
    predicate passing every row returns the input relation unchanged (and
    shares its caches). *)
-let vec_filter n (p : pred) (r : D.Relation.t) : D.Relation.t =
+let vec_filter n (d : notes) (p : pred) (r : D.Relation.t) : D.Relation.t =
   let base = D.Relation.batch r in
   let nrows = D.Batch.nrows base in
   let filler = Vector.compile_pred base n.schema p.ast in
@@ -276,8 +315,7 @@ let vec_filter n (p : pred) (r : D.Relation.t) : D.Relation.t =
               (D.Column.words_for len)))
   in
   let count = D.Column.count_bits bits ~len:nrows in
-  if T.enabled () then
-    n.detail <- ("vec", 1) :: ("batches", Array.length parts) :: n.detail;
+  d := ("vec", 1) :: ("batches", Array.length parts) :: !d;
   if count = nrows then r (* every base row passes: input unchanged *)
   else if count = 0 then D.Relation.empty n.schema
   else
@@ -286,11 +324,11 @@ let vec_filter n (p : pred) (r : D.Relation.t) : D.Relation.t =
 (* π: the kept columns are re-labeled zero-copy ([Batch.columns] shares
    the column arrays); only the canonicalizing sort-dedup of the *kept*
    columns touches data — dropped columns are never read. *)
-let vec_project n idx (r : D.Relation.t) : D.Relation.t =
+let vec_project n (d : notes) idx (r : D.Relation.t) : D.Relation.t =
   let b = D.Relation.batch r in
   T.add c_batches 1;
   T.add c_rows (D.Batch.nrows b);
-  if T.enabled () then n.detail <- ("vec", 1) :: n.detail;
+  d := ("vec", 1) :: !d;
   D.Relation.of_batch n.schema (D.Batch.columns b idx)
 
 (* Hash join on unboxed int key columns (ints, bools, dictionary codes —
@@ -305,7 +343,7 @@ let vec_project n idx (r : D.Relation.t) : D.Relation.t =
    view to join on, and none is needed.  [None] when some key pair has no
    unboxed code view (floats, mixed-kind columns) — the caller then takes
    the row path. *)
-let vec_hash_join n (j : hash_join) lr rr : D.Relation.t option =
+let vec_hash_join n (d : notes) (j : hash_join) lr rr : D.Relation.t option =
   let lb = D.Relation.batch lr and rb = D.Relation.batch rr in
   let build_n = D.Batch.nrows rb and probe_n = D.Batch.nrows lb in
   let lcols = D.Batch.cols lb and rcols = D.Batch.cols rb in
@@ -319,7 +357,7 @@ let vec_hash_join n (j : hash_join) lr rr : D.Relation.t option =
           D.Column.join_codes lcols.(j.lkey.(k)) rcols.(rkey.(k)))
   in
   if empty_side then begin
-    if T.enabled () then n.detail <- [ ("vec", 1) ];
+    d := ("vec", 1) :: !d;
     Some (D.Relation.empty n.schema)
   end
   else if nk = 0 || Array.exists Option.is_none pairs then None
@@ -387,9 +425,9 @@ let vec_hash_join n (j : hash_join) lr rr : D.Relation.t option =
             let sel = D.Column.sel_of_bits bits ~lo:0 ~len:m in
             if Array.length sel = m then out_b else D.Batch.gather out_b sel)
     in
+    d := ("vec", 1) :: !d;
     if T.enabled () then
-      n.detail <-
-        [ ("build_ns", build_ns); ("probe_ns", probe_ns); ("vec", 1) ];
+      d := ("build_ns", build_ns) :: ("probe_ns", probe_ns) :: !d;
     (* The output is canonical by construction, so the sort-dedup (and even
        its is-canonical scan) is skipped.  Argument: the probe walks left
        rows ascending and the index yields matching right rows ascending,
@@ -409,12 +447,12 @@ let vec_hash_join n (j : hash_join) lr rr : D.Relation.t option =
    construction — a union interleaves two sorted duplicate-free row
    sequences, intersection and difference keep subsequences of the left
    one. *)
-let vec_setop n (merge : D.Batch.t -> D.Batch.t -> D.Batch.t) ra rb :
-    D.Relation.t =
+let vec_setop n (d : notes) (merge : D.Batch.t -> D.Batch.t -> D.Batch.t) ra
+    rb : D.Relation.t =
   let ba = D.Relation.batch ra and bb = D.Relation.batch rb in
   T.add c_batches 2;
   T.add c_rows (D.Batch.nrows ba + D.Batch.nrows bb);
-  if T.enabled () then n.detail <- ("vec", 1) :: n.detail;
+  d := ("vec", 1) :: !d;
   D.Relation.of_batch ~canonical:true n.schema (merge ba bb)
 
 (* ÷ as a sorted-group merge: reorder the dividend's columns to
@@ -429,8 +467,8 @@ let vec_setop n (merge : D.Batch.t -> D.Batch.t -> D.Batch.t) ra rb :
    the output is canonical by construction.  Unlike the join kernels this
    never needs a row fallback: cmp2 falls back to decoded Value.compare
    per column pair, which is still the exact row semantics. *)
-let vec_division n (a : t) (b : t) (ra : D.Relation.t) (rb : D.Relation.t) :
-    D.Relation.t =
+let vec_division n (d : notes) (a : t) (b : t) (ra : D.Relation.t)
+    (rb : D.Relation.t) : D.Relation.t =
   (* division is a pipeline breaker: both inputs materialize *)
   let bb = D.Relation.batch rb in
   let keep_names = D.Schema.names n.schema in
@@ -442,7 +480,7 @@ let vec_division n (a : t) (b : t) (ra : D.Relation.t) (rb : D.Relation.t) :
   let nb = D.Batch.nrows bb in
   T.add c_batches 2;
   T.add c_rows (D.Batch.nrows ba + nb);
-  if T.enabled () then n.detail <- ("vec", 1) :: n.detail;
+  d := ("vec", 1) :: !d;
   if nb = 0 then
     (* the classic caveat: an empty divisor keeps every candidate *)
     D.Relation.of_batch n.schema (D.Batch.columns ba ia_keep)
@@ -525,31 +563,18 @@ let note_row_fallback n inputs =
     T.incr (T.counter ("columnar.fallback_row_mode." ^ op_kind n))
   end
 
-(* Rows held live by node memos during the current [run], and the high-
-   water mark — the "peak rows resident" figure [analyze] reports.
-   Tracked only under telemetry (cardinality of a set-backed view is a
-   traversal), atomically because nodes memoize from worker domains. *)
-let rows_resident = Atomic.make 0
-let rows_resident_peak = Atomic.make 0
-let g_peak_rows = T.gauge "exec.peak_rows_resident"
-
-let note_resident rows =
-  let cur = rows + Atomic.fetch_and_add rows_resident rows in
-  let rec bump () =
-    let p = Atomic.get rows_resident_peak in
-    if cur > p && not (Atomic.compare_and_set rows_resident_peak p cur) then
-      bump ()
-  in
-  bump ()
-
-let rec exec (n : t) : D.Relation.t =
-  match n.cache with
-  | Some r ->
-    n.hits <- n.hits + 1;
-    r
+(* Execute [n] within the run that owns [prof]: served from the run's
+   memo when this run already computed it, computed (children first) and
+   recorded otherwise. *)
+let rec exec (prof : profile) (n : t) : D.Relation.t =
+  match Hashtbl.find_opt prof n.id with
+  | Some e ->
+    e.hits <- e.hits + 1;
+    e.result
   | None ->
-    let r =
-      if not (T.enabled ()) then compute n
+    let d = ref [] in
+    let result, ns, alloc =
+      if not (T.enabled ()) then (compute prof d n, -1L, -1.)
       else begin
         (* one span per node computation; the duration is inclusive of the
            children computed beneath it, mirroring the tree shape the
@@ -559,56 +584,52 @@ let rec exec (n : t) : D.Relation.t =
           if T.alloc_enabled () then Gc.allocated_bytes () else 0.
         in
         let t0 = T.now_ns () in
-        let r = compute n in
-        n.actual_ns <- Int64.sub (T.now_ns ()) t0;
-        if T.alloc_enabled () then
-          (* allocation on the executing domain, children included; work
-             a parallel operator shipped to pool domains is attributed to
-             those domains' spans, not this node *)
-          n.actual_alloc <- Gc.allocated_bytes () -. alloc0;
+        let r = compute prof d n in
+        let ns = Int64.sub (T.now_ns ()) t0 in
+        (* allocation on the executing domain, children included; work a
+           parallel operator shipped to pool domains is attributed to
+           those domains' spans, not this node *)
+        let alloc =
+          if T.alloc_enabled () then Gc.allocated_bytes () -. alloc0 else -1.
+        in
         let rows_in =
           List.fold_left
             (fun acc c ->
-              match c.cache with
-              | Some cr -> acc + D.Relation.cardinality cr
-              | None -> acc)
+              acc + D.Relation.cardinality (Hashtbl.find prof c.id).result)
             0 (children n)
         in
-        let rows_out = D.Relation.cardinality r in
-        note_resident rows_out;
         T.finish
           ~attrs:
             (("node", T.Int n.id)
             :: ("rows_in", T.Int rows_in)
-            :: ("rows_out", T.Int rows_out)
-            :: List.map (fun (k, v) -> (k, T.Int v)) n.detail)
+            :: ("rows_out", T.Int (D.Relation.cardinality r))
+            :: List.map (fun (k, v) -> (k, T.Int v)) !d)
           sp;
-        r
+        (r, ns, alloc)
       end
     in
-    n.evals <- n.evals + 1;
-    n.cache <- Some r;
-    r
+    Hashtbl.add prof n.id { result; hits = 0; ns; alloc; detail = List.rev !d };
+    result
 
-and compute n : D.Relation.t =
+and compute prof (d : notes) n : D.Relation.t =
   match n.op with
   | Scan (_, r) -> r
   | Empty -> D.Relation.empty n.schema
   | Filter (p, c) ->
-    let r = exec c in
-    if !columnar_enabled && n.vec then vec_filter n p r
+    let r = exec prof c in
+    if !columnar_enabled && n.vec then vec_filter n d p r
     else D.Relation.filter p.holds r
   | Project (idx, c) ->
-    let r = exec c in
-    if !columnar_enabled && n.vec then vec_project n idx r
+    let r = exec prof c in
+    if !columnar_enabled && n.vec then vec_project n d idx r
     else D.Relation.map n.schema (fun t -> Array.map (D.Tuple.get t) idx) r
   | Relabel c ->
-    D.Relation.rename_all (D.Schema.names n.schema) (exec c)
+    D.Relation.rename_all (D.Schema.names n.schema) (exec prof c)
   | Hash_join j -> (
-    let lr = exec j.left and rr = exec j.right in
+    let lr = exec prof j.left and rr = exec prof j.right in
     match
       if !columnar_enabled && n.vec then begin
-        match vec_hash_join n j lr rr with
+        match vec_hash_join n d j lr rr with
         | Some r -> Some r
         | None ->
           (* key columns with no unboxed code view: row path *)
@@ -646,10 +667,10 @@ and compute n : D.Relation.t =
                  lr []))
       in
       if T.enabled () then
-        n.detail <- [ ("build_ns", build_ns); ("probe_ns", probe_ns) ];
+        d := ("build_ns", build_ns) :: ("probe_ns", probe_ns) :: !d;
       r)
   | Nl_join (p, a, b) ->
-    let ra = exec a and rb = exec b in
+    let ra = exec prof a and rb = exec prof b in
     note_row_fallback n [ ra; rb ];
     let ca = D.Relation.cardinality ra and cb = D.Relation.cardinality rb in
     let pair_chunk sub =
@@ -669,33 +690,33 @@ and compute n : D.Relation.t =
     else begin
       (* the work is |a|·|b|: chunk the outer side finely enough that even
          a small outer relation spreads across the pool *)
-      note_morsels n ca (chunk_for ca);
+      note_morsels d ca (chunk_for ca);
       merge_chunks n.schema
         (Pool.parallel_map_chunks ~chunk:(chunk_for ca) pair_chunk
            (D.Relation.tuples_array ra))
     end
   | Union (a, b) when !columnar_enabled && n.vec ->
-    vec_setop n D.Batch.merge_union (exec a) (exec b)
+    vec_setop n d D.Batch.merge_union (exec prof a) (exec prof b)
   | Inter (a, b) when !columnar_enabled && n.vec ->
-    vec_setop n D.Batch.merge_inter (exec a) (exec b)
+    vec_setop n d D.Batch.merge_inter (exec prof a) (exec prof b)
   | Diff (a, b) when !columnar_enabled && n.vec ->
-    vec_setop n D.Batch.merge_diff (exec a) (exec b)
+    vec_setop n d D.Batch.merge_diff (exec prof a) (exec prof b)
   | Union (a, b) ->
-    let ra = exec a and rb = exec b in
+    let ra = exec prof a and rb = exec prof b in
     note_row_fallback n [ ra; rb ];
     D.Relation.union ra rb
   | Inter (a, b) ->
-    let ra = exec a and rb = exec b in
+    let ra = exec prof a and rb = exec prof b in
     note_row_fallback n [ ra; rb ];
     D.Relation.inter ra rb
   | Diff (a, b) ->
-    let ra = exec a and rb = exec b in
+    let ra = exec prof a and rb = exec prof b in
     note_row_fallback n [ ra; rb ];
     D.Relation.diff ra rb
   | Division (a, b) when !columnar_enabled && n.vec ->
-    vec_division n a b (exec a) (exec b)
+    vec_division n d a b (exec prof a) (exec prof b)
   | Division (a, b) ->
-    let ra = exec a and rb = exec b in
+    let ra = exec prof a and rb = exec prof b in
     note_row_fallback n [ ra; rb ];
     D.Relation.division ra rb
 
@@ -713,79 +734,35 @@ let fold_unique f (root : t) init =
   in
   go init root
 
-(** Mark the nodes that should execute vectorized when {!columnar_enabled}:
-    filters and projections whose estimated input clears {!vec_threshold}
-    rows, hash joins where either side does, set operations (union /
-    intersect / minus) likewise — canonical batches are sorted and
-    duplicate-free, so those run as single linear merges with no hashing
-    or boxing — and division (sorted-group merge, {!vec_division}).
-    Nested-loop joins stay in row mode — their sorted-set implementation
-    already runs without per-row closure dispatch, and vectorizing them
-    does not pay.  Called by {!Planner.plan} once cardinality estimates
-    exist; the flag is only acted on at execution time, so one plan serves
-    both modes. *)
-let mark_vectorized root =
-  let thr = float_of_int !vec_threshold in
-  fold_unique
-    (fun n () ->
-      n.vec <-
-        (match n.op with
-        | Filter (_, c) | Project (_, c) -> c.est >= thr
-        | Hash_join j -> Float.max j.left.est j.right.est >= thr
-        | Union (a, b) | Inter (a, b) | Diff (a, b) | Division (a, b) ->
-          Float.max a.est b.est >= thr
-        | _ -> false))
-    root ()
+(** The result [prof]'s run computed at [n]; [Not_found] if the run never
+    reached [n] (a run computes every node reachable from its root). *)
+let result (prof : profile) (n : t) : D.Relation.t =
+  (Hashtbl.find prof n.id).result
 
-(** Reset every node's result memo and counters.  {!run} calls this before
-    executing, making the per-node caches {e single-evaluation-scoped}: a
-    plan served again from the plan cache re-executes against the current
-    relations instead of leaking the previous call's results.  (After a
-    {!run} the memos are still filled, which is what lets [explain] report
-    actual row counts.) *)
-let reset_caches root =
-  fold_unique
-    (fun n () ->
-      n.cache <- None;
-      n.evals <- 0;
-      n.hits <- 0;
-      n.actual_ns <- -1L;
-      n.actual_alloc <- -1.;
-      n.detail <- [])
-    root ()
-
-(** Execute a {e freshly built} node without resetting memos first — the
-    entry point the differential evaluator ({!Delta}) uses for the
-    ephemeral per-update delta plans it assembles around existing
-    relations.  The per-evaluation node memo of a registered plan is
-    {b not} shared with delta evaluation: a plan can be served from the
-    plan cache and re-{!run} for an ad-hoc query at any time, which
-    resets every node's [cache] — so differential state must live with
-    the view (see {!Delta}), never on plan nodes, and the delta plans
-    executed here are built fresh per maintenance round from nodes no
-    {!run} can reach. *)
-let exec_fresh (n : t) : D.Relation.t = exec n
-
-(** Execute a (possibly cached, possibly previously executed) plan from a
-    clean slate — the entry point {!Eval.eval_planned} uses. *)
-let run root =
-  reset_caches root;
-  if T.enabled () then begin
-    Atomic.set rows_resident 0;
-    Atomic.set rows_resident_peak 0
-  end;
+(** Execute [root] in a fresh run and return its result beside the run's
+    {!profile} — the one entry point for planned queries, registered
+    views and {!Delta}'s per-round nodes alike.  No state outlives the
+    run except in the returned profile, so a cached plan may run on
+    several domains at once. *)
+let run_profiled (root : t) : D.Relation.t * profile =
+  let prof = Hashtbl.create 16 in
   let r =
     T.with_span ~cat:"phase"
       ~attrs:(fun () ->
-        match root.cache with
-        | Some r -> [ ("rows", T.Int (D.Relation.cardinality r)) ]
-        | None -> [])
+        [ ("rows", T.Int (D.Relation.cardinality (result prof root))) ])
       "execute"
-      (fun () -> exec root)
+      (fun () -> exec prof root)
   in
-  if T.enabled () then
-    T.set_gauge g_peak_rows (Atomic.get rows_resident_peak);
-  r
+  (r, prof)
+
+(** {!run_profiled}, dropping the profile. *)
+let run (root : t) : D.Relation.t = fst (run_profiled root)
+
+(** Actual rows at [n], counted from the stored result when asked. *)
+let rows (prof : profile) (n : t) : int option =
+  Option.map
+    (fun e -> D.Relation.cardinality e.result)
+    (Hashtbl.find_opt prof n.id)
 
 (* ---------------- explain ---------------- *)
 
@@ -851,16 +828,14 @@ let render ~annot (root : t) : string =
   go "" root;
   Buffer.contents buf
 
-let actual_rows n =
-  match n.cache with
-  | Some r -> string_of_int (D.Relation.cardinality r)
-  | None -> "?"
+let actual_rows prof n =
+  match rows prof n with Some k -> string_of_int k | None -> "?"
 
-(** Render the plan with estimated and (when the node has been executed)
-    actual row counts. *)
-let explain (root : t) : string =
+(** Render the plan with estimated and (for the nodes [prof]'s run
+    computed) actual row counts. *)
+let explain (prof : profile) (root : t) : string =
   render root ~annot:(fun n ->
-      Printf.sprintf "est=%.0f actual=%s" n.est (actual_rows n))
+      Printf.sprintf "est=%.0f actual=%s" n.est (actual_rows prof n))
 
 (* A node whose cardinality estimate missed by more than this factor gets
    flagged in the analyze output. *)
@@ -875,24 +850,28 @@ let est_ratio est actual =
 (** Would this estimate/actual pair be flagged in the analyze output? *)
 let est_off ~est ~actual = est_ratio est actual > est_off_factor
 
-(** Render the plan annotated with the measured execution profile — the
+(** Render the plan annotated with the run profile [prof] — the
     [qviz eval --analyze] sink.  Each executed node shows actual rows and
     wall time (children included) next to the planner's estimate, hash
     joins additionally split build vs. probe time and parallel operators
     report their morsel count; nodes whose row estimate was off by more
-    than {!est_off_factor}× are flagged with [!est-off].  Requires the
-    plan to have been run with telemetry enabled; untimed nodes render
-    [time=?]. *)
-let analyze (root : t) : string =
+    than {!est_off_factor}× are flagged with [!est-off].  Times need the
+    run to have had telemetry enabled; untimed nodes render [time=?]. *)
+let analyze (prof : profile) (root : t) : string =
   render root ~annot:(fun n ->
+      let e = Hashtbl.find_opt prof n.id in
       let time =
-        if n.actual_ns < 0L then "time=?"
-        else Printf.sprintf "time=%.3fms" (T.ns_to_ms n.actual_ns)
+        match e with
+        | Some e when e.ns >= 0L ->
+          Printf.sprintf "time=%.3fms" (T.ns_to_ms e.ns)
+        | _ -> "time=?"
       in
       let alloc =
         (* only present when the plan ran with alloc tracking on *)
-        if n.actual_alloc < 0. then ""
-        else Printf.sprintf " alloc=%s" (T.bytes_to_string n.actual_alloc)
+        match e with
+        | Some e when e.alloc >= 0. ->
+          Printf.sprintf " alloc=%s" (T.bytes_to_string e.alloc)
+        | _ -> ""
       in
       let detail =
         String.concat ""
@@ -902,35 +881,27 @@ let analyze (root : t) : string =
                | "build_ns" -> Printf.sprintf " build=%.3fms" (float_of_int v /. 1e6)
                | "probe_ns" -> Printf.sprintf " probe=%.3fms" (float_of_int v /. 1e6)
                | _ -> Printf.sprintf " %s=%d" k v)
-             (List.rev n.detail))
+             (match e with Some e -> e.detail | None -> []))
       in
       let flag =
-        match n.cache with
-        | Some r
-          when est_ratio n.est (D.Relation.cardinality r) > est_off_factor ->
-          Printf.sprintf "  !est-off(%.0fx)"
-            (est_ratio n.est (D.Relation.cardinality r))
+        match rows prof n with
+        | Some k when est_ratio n.est k > est_off_factor ->
+          Printf.sprintf "  !est-off(%.0fx)" (est_ratio n.est k)
         | _ -> ""
       in
-      Printf.sprintf "est=%.0f actual=%s %s%s%s%s" n.est (actual_rows n) time
-        alloc detail flag)
+      Printf.sprintf "est=%.0f actual=%s %s%s%s%s" n.est (actual_rows prof n)
+        time alloc detail flag)
 
-(** Total number of node computations across the DAG — with hash-consing
-    this stays at the number of {e distinct} subexpressions. *)
-let total_evals root = fold_unique (fun n acc -> acc + n.evals) root 0
+(** Node computations in [prof]'s run — with hash-consing, the number of
+    {e distinct} subexpressions, each computed once. *)
+let total_evals (prof : profile) = Hashtbl.length prof
 
 (** Total memo hits — how many re-evaluations sharing saved. *)
-let total_hits root = fold_unique (fun n acc -> acc + n.hits) root 0
+let total_hits (prof : profile) =
+  Hashtbl.fold (fun _ e acc -> acc + e.hits) prof 0
 
-(** Estimated bytes held live by the plan's node memos — the intermediate
-    results still resident after a run ({!Plan_cache} sums this over every
-    cached plan for the [memory_bytes.plan_cache] gauge).  Scan nodes are
-    skipped: their "result" is the base relation itself, owned by the
-    database, not the plan. *)
-let memory_bytes (root : t) : int =
-  fold_unique
-    (fun n acc ->
-      match (n.op, n.cache) with
-      | Scan _, _ | _, None -> acc
-      | _, Some r -> acc + D.Relation.memory_bytes r)
-    root 0
+(** Rows resident at the end of [prof]'s run: every memoized result
+    (base-relation scans included) is held until the run returns, so this
+    is also the run's high-water mark. *)
+let peak_rows_resident (prof : profile) =
+  Hashtbl.fold (fun _ e acc -> acc + D.Relation.cardinality e.result) prof 0

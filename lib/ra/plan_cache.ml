@@ -6,8 +6,9 @@
     a single tuple.  This cache amortizes that: plans are keyed by
     {b (canonicalized logical AST, database stamp)} and reused verbatim,
     so a repeated query skips optimize + plan entirely and goes straight
-    to execution ({!Plan.run} resets the per-node result memos first, so
-    a reused plan re-executes rather than replaying old results).
+    to execution.  Plans are immutable and every {!Plan.run} keeps its
+    results in its own profile, so a cached plan holds no results and
+    may serve several callers, on several domains, at once.
 
     - {b Canonicalization} ({!canonical}) normalizes the commutative parts
       of predicates — conjunct/disjunct operand order, constants moved to
@@ -169,10 +170,3 @@ let find_or_plan (db : D.Database.t) (e : Ast.t) : Plan.t * bool =
 
 (** Number of plans currently cached. *)
 let entries () = length ()
-
-(** Estimated bytes held live by the cached plans' node memos
-    ({!Plan.memory_bytes} summed over every entry) — the substrate of the
-    [memory_bytes.plan_cache] gauge. *)
-let memory_bytes () : int =
-  locked (fun () ->
-      Hashtbl.fold (fun _ e acc -> acc + Plan.memory_bytes e.plan) table 0)

@@ -34,6 +34,9 @@ type state = {
 
 let clamp1 x = Float.max 1. x
 
+(* Every planned node is built with the vectorization choice fixed. *)
+let mk op = Plan.mk ~vec:(Plan.vectorizable op) op
+
 (* ---------------- selectivity estimation ---------------- *)
 
 (* [distinct] maps an attribute name to its estimated distinct count. *)
@@ -78,7 +81,7 @@ let mk_filter (n : Plan.t) conjs : Plan.t =
   | _ ->
     let p = Ast.pred_conj conjs in
     let est = selectivity (node_distinct n) p *. n.Plan.est in
-    Plan.mk
+    mk
       (Plan.Filter (Plan.compile_pred n.Plan.schema p, n))
       n.Plan.schema est
       (cap_distinct est n.Plan.est_distinct)
@@ -159,11 +162,11 @@ let combine (l : Plan.t) (r : Plan.t) pending : Plan.t * Ast.pred list =
   let node =
     match pairs with
     | [] ->
-      Plan.mk
+      mk
         (Plan.Nl_join (compiled_residual, l, r))
         out_schema est est_distinct
     | _ ->
-      Plan.mk
+      mk
         (Plan.Hash_join
            { Plan.left = l; right = r;
              lkey = Array.of_list (List.map fst pairs);
@@ -193,14 +196,14 @@ and build st (e : Ast.t) : Plan.t =
       assert false
     | Some rel ->
       let s = D.Relation.stats rel in
-      Plan.mk
+      mk
         (Plan.Scan (r, rel))
         (D.Relation.schema rel)
         (float_of_int s.D.Stats.rows)
         (Array.map float_of_int s.D.Stats.distinct))
   | Ast.Empty _ ->
     let schema = Typecheck.infer st.env e in
-    Plan.mk Plan.Empty schema 0. (Array.make (D.Schema.arity schema) 0.)
+    mk Plan.Empty schema 0. (Array.make (D.Schema.arity schema) 0.)
   | Ast.Select _ | Ast.Product _ | Ast.Join _ | Ast.Theta_join _ ->
     plan_chain st e
   | Ast.Project (attrs, e1) ->
@@ -219,11 +222,11 @@ and build st (e : Ast.t) : Plan.t =
     let dist =
       cap_distinct est (Array.map (fun i -> c.Plan.est_distinct.(i)) idx)
     in
-    Plan.mk (Plan.Project (idx, c)) schema est dist
+    mk (Plan.Project (idx, c)) schema est dist
   | Ast.Rename (_, e1) ->
     let c = go st e1 in
     let schema = Typecheck.infer st.env e in
-    Plan.mk (Plan.Relabel c) schema c.Plan.est c.Plan.est_distinct
+    mk (Plan.Relabel c) schema c.Plan.est c.Plan.est_distinct
   | Ast.Union (a, b) ->
     let na = go st a and nb = go st b in
     let est = na.Plan.est +. nb.Plan.est in
@@ -233,7 +236,7 @@ and build st (e : Ast.t) : Plan.t =
            (Array.length na.Plan.est_distinct)
            (fun i -> na.Plan.est_distinct.(i) +. nb.Plan.est_distinct.(i)))
     in
-    Plan.mk (Plan.Union (na, nb)) (Typecheck.infer st.env e) est dist
+    mk (Plan.Union (na, nb)) (Typecheck.infer st.env e) est dist
   | Ast.Inter (a, b) ->
     let na = go st a and nb = go st b in
     let est = Float.min na.Plan.est nb.Plan.est in
@@ -244,10 +247,10 @@ and build st (e : Ast.t) : Plan.t =
            (fun i ->
              Float.min na.Plan.est_distinct.(i) nb.Plan.est_distinct.(i)))
     in
-    Plan.mk (Plan.Inter (na, nb)) (Typecheck.infer st.env e) est dist
+    mk (Plan.Inter (na, nb)) (Typecheck.infer st.env e) est dist
   | Ast.Diff (a, b) ->
     let na = go st a and nb = go st b in
-    Plan.mk
+    mk
       (Plan.Diff (na, nb))
       (Typecheck.infer st.env e)
       na.Plan.est na.Plan.est_distinct
@@ -263,7 +266,7 @@ and build st (e : Ast.t) : Plan.t =
       cap_distinct est
         (Array.of_list (List.map (fun i -> na.Plan.est_distinct.(i)) keep))
     in
-    Plan.mk (Plan.Division (na, nb)) schema est dist
+    mk (Plan.Division (na, nb)) schema est dist
 
 (* Flatten a [Select]/[Product]/[Join]/[Theta_join] chain into its leaf
    expressions and the pooled conjuncts, then reassemble greedily. *)
@@ -343,7 +346,7 @@ and plan_chain st (e : Ast.t) : Plan.t =
            (D.Schema.names canonical))
     in
     let dist = Array.map (fun i -> planned.Plan.est_distinct.(i)) idx in
-    Plan.mk (Plan.Project (idx, planned)) canonical planned.Plan.est dist
+    mk (Plan.Project (idx, planned)) canonical planned.Plan.est dist
   end
 
 (** Plan [e] against [db].  Runs the logical optimizer first unless
@@ -359,6 +362,4 @@ let plan ?(optimize = true) db (e : Ast.t) : Plan.t =
     else e
   in
   let st = { db; env; memo = Hashtbl.create 32 } in
-  let n = go st e in
-  Plan.mark_vectorized n;
-  n
+  go st e

@@ -10,9 +10,13 @@
      must not retract an output other inputs still support) and the
      membership-probe rules of the set operations;
    - the plan-sharing regression: a registered view's plan is the same
-     object the LRU plan cache serves to ad-hoc [eval_planned] calls,
-     whose [Plan.run] resets the per-node memos — maintenance must keep
-     working because its state lives with the view, not on plan nodes;
+     object the LRU plan cache serves to ad-hoc [eval_planned] calls —
+     maintenance must keep working because its state lives with the
+     view, not on plan nodes;
+   - the concurrent-run regression: registering a view while another
+     domain runs the same cached plan, and two domains running one plan
+     at once, give the sequential results (per-node row counts
+     included);
    - the cached-index regression: with the pool at several domains, a
      join view's delta probes keep serving the stable side's index from
      the relation cache round after round;
@@ -238,8 +242,8 @@ let test_plan_cache_sharing () =
   let plan2, cached = Plan_cache.find_or_plan db0 e in
   Alcotest.(check bool) "plan served from cache" true cached;
   Alcotest.(check bool) "same plan object" true (plan2 == v.Views.plan);
-  (* ...and Plan.run resets every per-node memo on it.  Interleave such
-     runs with maintenance rounds: the view must stay correct because its
+  (* ...and runs it for its own callers.  Interleave such runs with
+     maintenance rounds: the view must stay correct because its
      differential state is its own. *)
   let r = D.Generator.rng 42 in
   for round = 1 to 3 do
@@ -299,6 +303,117 @@ let test_delta_join_reuses_cached_index () =
         Alcotest.(check int) (Printf.sprintf "round %d builds no index" k) 0
           misses
       done)
+
+(* ------------------------------------------------------------------ *)
+(* Concurrent runs of one cached plan.                                 *)
+
+let concurrent_db =
+  D.Generator.sailors_db ~n_sailors:200 ~n_boats:20 ~n_reserves:400 11
+
+let concurrent_src =
+  "project[sname](Sailor join Reserves join project[bid](select[color = \
+   'red'](Boat))) union project[sname](select[rating > 7](Sailor))"
+
+(* Run [f] in a second domain until [body] returns; the domain has
+   finished at least one [f] before [body] starts.  Returns [body]'s
+   result and how many times [f] ran; an exception from [f] stops the
+   loop and is re-raised here. *)
+let with_background_loop f body =
+  let stop = Atomic.make false and runs = Atomic.make 0 in
+  let d =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set stop true) @@ fun () ->
+        while not (Atomic.get stop) do
+          f ();
+          Atomic.incr runs
+        done)
+  in
+  while Atomic.get runs = 0 && not (Atomic.get stop) do
+    Domain.cpu_relax ()
+  done;
+  let result = Fun.protect ~finally:(fun () -> Atomic.set stop true) body in
+  Domain.join d;
+  (result, Atomic.get runs)
+
+(* Registering a view snapshots its node results from the plan's run.
+   While another domain runs the same cached plan in a loop, every
+   registration must succeed and equal the sequential one. *)
+let test_register_during_concurrent_runs () =
+  List.iter
+    (fun domains ->
+      let old_size = Pool.size () in
+      Pool.set_size domains;
+      Fun.protect ~finally:(fun () -> Pool.set_size old_size) @@ fun () ->
+      let reg = Views.create concurrent_db in
+      let v0 =
+        Views.register reg ~name:"v" ~lang:Languages.Ra ~source:concurrent_src
+      in
+      let expected = Views.result v0 in
+      let failures, runs =
+        with_background_loop
+          (fun () -> ignore (Plan.run v0.Views.plan : R.t))
+          (fun () ->
+            List.filter_map
+              (fun i ->
+                match
+                  Views.register reg ~name:"v" ~lang:Languages.Ra
+                    ~source:concurrent_src
+                with
+                | v when v.Views.plan != v0.Views.plan ->
+                  Some (Printf.sprintf "#%d: plan not served from cache" i)
+                | v when not (R.same_rows expected (Views.result v)) ->
+                  Some (Printf.sprintf "#%d: result differs" i)
+                | _ -> None
+                | exception e ->
+                  Some (Printf.sprintf "#%d: %s" i (Printexc.to_string e)))
+              (List.init 100 Fun.id))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "background domain ran (%d domains)" domains)
+        true (runs > 0);
+      Alcotest.(check (list string))
+        (Printf.sprintf "registrations at %d domains" domains)
+        [] failures)
+    [ 1; 4 ]
+
+(* Two domains run one cached plan at once; each run equals the
+   sequential one, its per-node row counts and memo counts included. *)
+let test_two_domains_one_plan () =
+  List.iter
+    (fun domains ->
+      let old_size = Pool.size () in
+      Pool.set_size domains;
+      Fun.protect ~finally:(fun () -> Pool.set_size old_size) @@ fun () ->
+      let e = Diagres_ra.Parser.parse concurrent_src in
+      let plan, _ = Plan_cache.find_or_plan concurrent_db e in
+      let r0, p0 = Plan.run_profiled plan in
+      let counts prof =
+        Plan.fold_unique (fun n acc -> (n.Plan.id, Plan.rows prof n) :: acc)
+          plan []
+      in
+      let c0 = counts p0 in
+      let check_runs k =
+        List.filter_map
+          (fun i ->
+            let r, p = Plan.run_profiled plan in
+            if not (R.same_rows r0 r) then
+              Some (Printf.sprintf "#%d: result differs" i)
+            else if counts p <> c0 then
+              Some (Printf.sprintf "#%d: per-node rows differ" i)
+            else if
+              Plan.total_evals p <> Plan.total_evals p0
+              || Plan.total_hits p <> Plan.total_hits p0
+            then Some (Printf.sprintf "#%d: memo counts differ" i)
+            else None)
+          (List.init k Fun.id)
+      in
+      let d = Domain.spawn (fun () -> check_runs 100) in
+      let mine = check_runs 100 in
+      let theirs = Domain.join d in
+      Alcotest.(check (list string))
+        (Printf.sprintf "runs at %d domains" domains)
+        [] (mine @ theirs))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Randomized update-stream differential.                              *)
@@ -369,6 +484,11 @@ let () =
       ( "plan-sharing",
         [ Alcotest.test_case "maintenance survives ad-hoc Plan.run" `Quick
             test_plan_cache_sharing ] );
+      ( "concurrent",
+        [ Alcotest.test_case "registration while another domain runs the plan"
+            `Quick test_register_during_concurrent_runs;
+          Alcotest.test_case "two domains run one cached plan" `Quick
+            test_two_domains_one_plan ] );
       ( "cached-index",
         [ Alcotest.test_case "delta joins reuse the stable side's index"
             `Quick test_delta_join_reuses_cached_index ] );

@@ -2,8 +2,10 @@
    error code, expected message/hint substring).  Covers parse errors from
    all five parsers, name resolution with did-you-mean suggestions,
    cross-type comparisons, safety violations, malformed CSV, and the CLI
-   dispatch errors — plus the exit-code contract and the outermost
-   catch-all net. *)
+   dispatch errors — plus the exit-code contract, the outermost
+   catch-all net, and error propagation across layers (a diagnostic
+   raised in a pool worker, a view-maintenance round or a translator
+   surfaces as if raised inline). *)
 
 module D = Diagres_data
 module L = Diagres.Languages
@@ -198,6 +200,110 @@ let test_capture_all () =
   | Ok n -> Alcotest.(check int) "passthrough" 42 n
   | Error _ -> Alcotest.fail "capture_all failed a successful thunk"
 
+(* ------------------------------------------------------------------ *)
+(* Error propagation across layers.                                    *)
+
+module Plan = Diagres_ra.Plan
+module Pool = Diagres_pool.Pool
+
+(* [f] must end in [d]'s code and exit status under the outermost net,
+   exactly as raising [d] inline does — never as an internal error. *)
+let check_propagates what (d : Diag.t) f =
+  let outcome g =
+    match Diagres.Errors.capture_all g with
+    | Ok _ -> Alcotest.failf "%s: no diagnostic surfaced" what
+    | Error e -> (e.Diag.code, Diag.exit_code e)
+  in
+  let inline = outcome (fun () -> raise (Diag.Error d)) in
+  let layered = outcome f in
+  Alcotest.(check (pair string int)) what inline layered;
+  Alcotest.(check bool) (what ^ ": not internal") false
+    (fst layered = "E-INTERNAL-001")
+
+let eval_diag = Diag.make ~code:"E-TEST-EVAL-001" ~phase:Diag.Eval "boom"
+
+(* a compiled predicate that raises [eval_diag] on the tuple [bad] *)
+let raising_pred bad : Plan.pred =
+  { Plan.display = "raises";
+    holds =
+      (fun t ->
+        if D.Tuple.compare t bad = 0 then raise (Diag.Error eval_diag);
+        true);
+    ast = Diagres_ra.Ast.Ptrue }
+
+let with_domains n f =
+  let old = Pool.size () and old_par = !Plan.par_threshold in
+  Pool.set_size n;
+  Plan.par_threshold := 0;
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_size old;
+      Plan.par_threshold := old_par)
+    f
+
+let test_diag_in_pool_task () =
+  with_domains 4 @@ fun () ->
+  check_propagates "Pool.run_all task" eval_diag (fun () ->
+      Pool.run_all
+        (Array.init 8 (fun i () ->
+             if i = 5 then raise (Diag.Error eval_diag) else i)));
+  (* the same through a plan: the nested-loop join's morsels run as pool
+     tasks, and one of them meets the raising predicate *)
+  let scan name =
+    let r = D.Database.find name db in
+    Plan.mk (Plan.Scan (name, r)) (D.Relation.schema r) 0. [||]
+  in
+  let sailors = scan "Sailor" and boats = scan "Boat" in
+  let bad =
+    D.Tuple.concat
+      (List.hd (D.Relation.tuples (D.Database.find "Sailor" db)))
+      (List.hd (D.Relation.tuples (D.Database.find "Boat" db)))
+  in
+  let join =
+    Plan.mk
+      (Plan.Nl_join (Some (raising_pred bad), sailors, boats))
+      (sailors.Plan.schema @ boats.Plan.schema) 0. [||]
+  in
+  check_propagates "parallel nested-loop join" eval_diag (fun () ->
+      Plan.run join)
+
+(* A view whose filter raises on one inserted sailor: the diagnostic
+   leaves the maintenance round of [Views.update] unchanged. *)
+let test_diag_in_maintenance () =
+  let module V = Diagres.Views in
+  let sailor = D.Database.find "Sailor" db in
+  let schema = D.Relation.schema sailor in
+  let bad = D.Value.[| Int 999; String "Zed"; Int 5; Float 30. |] in
+  let scan = Plan.mk (Plan.Scan ("Sailor", sailor)) schema 0. [||] in
+  let plan = Plan.mk (Plan.Filter (raising_pred bad, scan)) schema 0. [||] in
+  let reg = V.create db in
+  let v = V.register reg ~name:"all" ~lang:L.Ra ~source:"Sailor" in
+  reg.V.views <-
+    [ ("boom", { v with V.plan; delta = Diagres_ra.Delta.init plan }) ];
+  check_propagates "Views.update maintenance round" eval_diag (fun () ->
+      V.update reg
+        [ ("Sailor", D.Relation.of_tuples schema [ bad ], D.Relation.empty schema)
+        ])
+
+(* Translator diagnostics reached through [Languages.to_ra]: parsing
+   succeeds, lowering to RA raises. *)
+let test_diag_in_translator () =
+  let schemas = D.Sample_db.schemas in
+  List.iter
+    (fun (what, lang, src, code) ->
+      let q = L.parse lang src in
+      match Diagres.Errors.capture_all (fun () -> L.to_ra schemas q) with
+      | Ok _ -> Alcotest.failf "%s: no diagnostic surfaced" what
+      | Error d ->
+        Alcotest.(check string) (what ^ ": code") code d.Diag.code;
+        check_propagates what d (fun () -> L.to_ra schemas q))
+    [ ( "sql resolve", L.Sql, "SELECT s.sid FROM Sailors s",
+        "E-SQL-RESOLVE-001" );
+      ( "trc type", L.Trc, "{ s.sid | s in Sailor : s.rating > 'x' }",
+        "E-TRC-TYPE-005" );
+      ( "datalog safety", L.Datalog,
+        "q(X) :- Sailor(X, N, R, A), not Boat(Y, B, C).", "E-DLG-CHECK-003" ) ]
+
 let test_suggestions () =
   Alcotest.(check (option string))
     "suggest Sailor"
@@ -233,4 +339,11 @@ let () =
         [ Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "catch-all net" `Quick test_capture_all;
           Alcotest.test_case "suggestions" `Quick test_suggestions;
-          Alcotest.test_case "caret rendering" `Quick test_render_caret ] ) ]
+          Alcotest.test_case "caret rendering" `Quick test_render_caret ] );
+      ( "propagation",
+        [ Alcotest.test_case "pool task at 4 domains" `Quick
+            test_diag_in_pool_task;
+          Alcotest.test_case "view maintenance round" `Quick
+            test_diag_in_maintenance;
+          Alcotest.test_case "translator via to_ra" `Quick
+            test_diag_in_translator ] ) ]

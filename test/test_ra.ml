@@ -207,19 +207,17 @@ let test_planner_pure_product_stays_nl () =
 let test_planner_shared_subtree_evaluated_once () =
   let sub = "project[sid](select[rating > 7](Sailor))" in
   let p = Planner.plan db (parse (sub ^ " union " ^ sub)) in
-  ignore (Plan.exec p : D.Relation.t);
-  Plan.fold_unique
-    (fun n () ->
-      Alcotest.(check bool) "each node computed at most once" true
-        (n.Plan.evals <= 1))
-    p ();
+  let _, prof = Plan.run_profiled p in
+  Alcotest.(check int) "each distinct node computed once"
+    (Plan.fold_unique (fun _ k -> k + 1) p 0)
+    (Plan.total_evals prof);
   Alcotest.(check bool) "memo hit on the shared branch" true
-    (Plan.total_hits p >= 1)
+    (Plan.total_hits prof >= 1)
 
 let test_planner_explain_counts () =
   let p = Planner.plan db (parse (Diagres.Catalog.find "q1").Diagres.Catalog.ra) in
-  ignore (Plan.exec p : D.Relation.t);
-  let text = Plan.explain p in
+  let _, prof = Plan.run_profiled p in
+  let text = Plan.explain prof p in
   let contains needle =
     let nl = String.length needle and tl = String.length text in
     let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in

@@ -1,9 +1,9 @@
 (* The telemetry subsystem: span nesting and parenting, disabled-mode
    no-op invariants, counter/histogram correctness, the differential
    check that instrumentation never changes results (sequential and
-   parallel), the EXPLAIN ANALYZE annotations, and the Chrome
-   trace-event JSON sink (validated with a local mini JSON parser —
-   the tree has no JSON dependency). *)
+   parallel) nor any count in a run profile, the EXPLAIN ANALYZE
+   annotations, and the Chrome trace-event JSON sink (validated with a
+   local mini JSON parser — the tree has no JSON dependency). *)
 
 module T = Diagres_telemetry.Telemetry
 module Pool = Diagres_pool.Pool
@@ -412,12 +412,13 @@ let test_analyze_annotations () =
     (fun e ->
       let ra = Diagres.Catalog.parsed_ra e in
       let plan = Diagres_ra.Planner.plan db ra in
-      let result = Diagres_ra.Plan.run plan in
-      let analyzed = Diagres_ra.Plan.analyze plan in
+      let result, prof = Diagres_ra.Plan.run_profiled plan in
+      let analyzed = Diagres_ra.Plan.analyze prof plan in
       (* same tree as explain, one annotation per node *)
       Alcotest.(check (list string))
         (e.Diagres.Catalog.id ^ ": analyze shows the explain tree")
-        (List.map strip_annotation (lines (Diagres_ra.Plan.explain plan)))
+        (List.map strip_annotation
+           (lines (Diagres_ra.Plan.explain prof plan)))
         (List.map strip_annotation (lines analyzed));
       List.iter
         (fun l ->
@@ -689,6 +690,95 @@ let test_trace_json_valid () =
         (List.mem phase names))
     [ "typecheck"; "plan"; "optimize"; "execute" ]
 
+(* ---------------- run-profile counts vs telemetry ---------------- *)
+
+module Plan = Diagres_ra.Plan
+
+(* Everything a run profile counts, node by node, with the measurements
+   that telemetry alone takes (time, allocation, [*_ns] details) left
+   out: which nodes were computed (evals), their rows, memo hits and the
+   [vec]/[batches]/[morsels] details. *)
+let profile_counts plan (prof : Plan.profile) =
+  Plan.fold_unique
+    (fun n acc ->
+      let counted (e : Plan.node_run) =
+        ( D.Relation.cardinality e.Plan.result,
+          e.Plan.hits,
+          List.filter
+            (fun (k, _) -> not (String.ends_with ~suffix:"_ns" k))
+            e.Plan.detail )
+      in
+      (n.Plan.id, Option.map counted (Hashtbl.find_opt prof n.Plan.id))
+      :: acc)
+    plan []
+
+(* Small thresholds so the Qgen stream reaches the vectorized,
+   multi-batch and morsel-parallel paths on the sample database. *)
+let with_small_thresholds f =
+  let par = !Plan.par_threshold and morsel = !Plan.morsel_size in
+  let vec = !Plan.vec_threshold and batch = !Plan.batch_rows in
+  Plan.par_threshold := 0;
+  Plan.morsel_size := 3;
+  Plan.vec_threshold := 0;
+  Plan.batch_rows := 3;
+  Fun.protect
+    ~finally:(fun () ->
+      Plan.par_threshold := par;
+      Plan.morsel_size := morsel;
+      Plan.vec_threshold := vec;
+      Plan.batch_rows := batch)
+    f
+
+let test_profile_counts_independent () =
+  let catalog_db =
+    D.Generator.sailors_db ~n_sailors:1000 ~n_boats:100 ~n_reserves:2000 3
+  in
+  let catalog =
+    List.map
+      (fun e -> (e.Diagres.Catalog.id, Diagres.Catalog.parsed_ra e))
+      Diagres.Catalog.all
+  in
+  let st = Random.State.make [| 0x9f0; 17 |] in
+  let stream =
+    List.init 100 (fun i ->
+        ( Printf.sprintf "qgen #%d" i,
+          Diagres.Qgen.gen_ra st D.Sample_db.schemas 3 ))
+  in
+  let check_all db queries =
+    List.iter
+      (fun domains ->
+        with_size domains @@ fun () ->
+        List.iter
+          (fun (name, e) ->
+            let plan = Diagres_ra.Planner.plan db e in
+            let r_off, p_off = Plan.run_profiled plan in
+            let traced ~alloc =
+              T.set_enabled true;
+              T.set_alloc_enabled alloc;
+              T.reset_spans ();
+              Fun.protect
+                ~finally:(fun () ->
+                  T.set_enabled false;
+                  T.set_alloc_enabled false)
+                (fun () -> Plan.run_profiled plan)
+            in
+            List.iter
+              (fun (mode, (r_on, p_on)) ->
+                let what =
+                  Printf.sprintf "%s at %d domains, %s" name domains mode
+                in
+                Testutil.check_same_rows what r_off r_on;
+                if profile_counts plan p_off <> profile_counts plan p_on then
+                  Alcotest.failf "%s: profile counts differ:\n%s" what
+                    (Diagres_ra.Pretty.ascii e))
+              [ ("telemetry", traced ~alloc:false);
+                ("telemetry+alloc", traced ~alloc:true) ])
+          queries)
+      [ 1; 4 ]
+  in
+  check_all catalog_db catalog;
+  with_small_thresholds (fun () -> check_all db stream)
+
 let test_metrics_json_valid () =
   T.incr (T.counter "test.json.counter");
   T.observe (T.histogram "test.json.hist") 3.0;
@@ -767,6 +857,9 @@ let () =
         [ Alcotest.test_case "annotations" `Quick test_analyze_annotations;
           Alcotest.test_case "est-off flagging" `Quick
             test_analyze_est_off_flag ] );
+      ( "profile",
+        [ Alcotest.test_case "counts independent of telemetry" `Quick
+            test_profile_counts_independent ] );
       ( "json",
         [ Alcotest.test_case "trace events well-formed" `Quick
             test_trace_json_valid;
