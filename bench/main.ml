@@ -1057,6 +1057,64 @@ let e14_table ~quick () =
      maintain = differential propagation through the registered plan; \
      recomp = re-plan + re-run on the updated database)\n"
 
+(* E18: calculus translations through the planner.  Each catalog query is
+   translated from SQL, TRC, DRC and Datalog to RA ([Languages.to_ra]) and
+   run planned ([Eval.eval_planned]: typecheck, plan cache, Plan.run)
+   beside the hand-written RA of the catalog, planned the same way.  Both
+   times are warm (the plan is cached); the ratio is translation over
+   hand-written, and size is the length of the translation's RA text.
+   ROADMAP item 1 targets every ratio within 1.5x and sizes linear in the
+   source query. *)
+let e18_table ~quick () =
+  hr "E18  calculus -> RA translations planned vs hand-written RA";
+  let module L = Diagres.Languages in
+  let module C = Diagres.Catalog in
+  let instances =
+    ("sample", Diagres_data.Sample_db.db)
+    :: (if quick then []
+        else
+          [ ( "1000 sailors",
+              Diagres_data.Generator.sailors_db ~n_sailors:1000 ~n_boats:100
+                ~n_reserves:2000 7 ) ])
+  in
+  let time f = if quick then walltimed3 f else walltimed3s f in
+  Printf.printf "%-7s %-4s %-8s %12s %12s %8s %8s %6s
+" "tuples" "id" "lang"
+    "trans(ms)" "hand(ms)" "ratio" "ra-size" "agree";
+  List.iter
+    (fun (_, db) ->
+      let ntup = Diagres_data.Database.total_tuples db in
+      let schemas = Diagres_ra.Typecheck.env_of_database db in
+      List.iter
+        (fun (e : C.entry) ->
+          let hand = C.parsed_ra e in
+          let t_hand, expected = time (fun () -> Diagres_ra.Eval.eval_planned db hand) in
+          record
+            ~name:(Printf.sprintf "e18/%s/ra/n=%d" e.C.id ntup)
+            ~ns:(t_hand *. 1e9) ~tuples:ntup
+            ~rows:(Diagres_data.Relation.cardinality expected);
+          List.iter
+            (fun (lang, src) ->
+              let ra = L.to_ra schemas (L.parse lang src) in
+              let t, got = time (fun () -> Diagres_ra.Eval.eval_planned db ra) in
+              let tag = String.lowercase_ascii (L.name lang) in
+              record
+                ~name:(Printf.sprintf "e18/%s/%s/n=%d" e.C.id tag ntup)
+                ~ns:(t *. 1e9) ~tuples:ntup
+                ~rows:(Diagres_data.Relation.cardinality got);
+              Printf.printf "%-7d %-4s %-8s %12.3f %12.3f %7.2fx %8d %6b
+" ntup
+                e.C.id (L.name lang) (t *. 1e3) (t_hand *. 1e3) (t /. t_hand)
+                (String.length (Diagres_ra.Pretty.ascii ra))
+                (Diagres_data.Relation.same_rows expected got))
+            [ (L.Sql, e.C.sql); (L.Trc, e.C.trc); (L.Drc, e.C.drc);
+              (L.Datalog, e.C.datalog) ])
+        C.all)
+    instances;
+  Printf.printf
+    "(trans = the language's RA translation planned; hand = the catalog's \
+     hand-written RA planned; both warm, best of three)\n"
+
 let stage = Staged.stage
 
 let bench_tests () =
@@ -1246,7 +1304,7 @@ let () =
     | None -> if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ]
   in
   (* --only e13,e14: run a subset of the sections (shape, scaling, tc,
-     e11, e12, e13, e14, e16, micro) *)
+     e11, e12, e13, e14, e16, e18, micro) *)
   let only =
     let rec find = function
       | "--only" :: spec :: _ -> Some (String.split_on_char ',' spec)
@@ -1276,6 +1334,7 @@ let () =
   if want "e13" then e13_table ~quick ~huge ();
   if want "e14" then e14_table ~quick ();
   if want "e16" then e16_memory_table ~quick ~huge ();
+  if want "e18" then e18_table ~quick ();
   if (not quick) && want "micro" then run_benchmarks ();
   Option.iter (write_json ~quick ~huge ~domains) json_path;
   (* --check BASELINE [--tolerance PCT]: compare this run's measurements

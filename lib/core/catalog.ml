@@ -170,5 +170,5 @@ let eval_all db (e : entry) : (string * Diagres_data.Relation.t) list =
   [ ("sql", Diagres_sql.To_ra.eval db (parsed_sql e));
     ("ra", Diagres_ra.Eval.eval_planned db (parsed_ra e));
     ("trc", Diagres_rc.Trc.eval db (parsed_trc e));
-    ("drc", Diagres_rc.Drc.eval db (parsed_drc e));
+    ("drc", Diagres_rc.Drc_to_ra.eval db (parsed_drc e));
     ("datalog", Diagres_datalog.Eval.query db (parsed_datalog e) ~goal:e.id) ]

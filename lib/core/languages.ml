@@ -92,6 +92,11 @@ let lang_of = function
   | Q_drc _ -> Drc
   | Q_datalog _ -> Datalog
 
+(** Evaluate a query.  RA and DRC run through the planner: DRC is
+    translated by the range-restricted {!Diagres_rc.Drc_to_ra} and planned
+    ({!Diagres_ra.Eval.eval_planned}: typecheck, plan cache, [Plan.run]).
+    SQL and TRC run on {!Diagres_rc.Trc.eval}, Datalog on its own
+    evaluator; the E18 table compares their planned translations. *)
 let eval db (q : query) : Diagres_data.Relation.t =
   T.with_span ~cat:"phase"
     ~attrs:(fun () -> [ ("lang", T.Str (name (lang_of q))) ])
@@ -101,7 +106,7 @@ let eval db (q : query) : Diagres_data.Relation.t =
   | Q_sql st -> Diagres_sql.To_ra.eval db st
   | Q_ra e -> Diagres_ra.Eval.eval_planned db e
   | Q_trc q -> Diagres_rc.Trc.eval db q
-  | Q_drc q -> Diagres_rc.Drc.eval db q
+  | Q_drc q -> Diagres_rc.Drc_to_ra.eval db q
   | Q_datalog (p, goal) -> Diagres_datalog.Eval.query db p ~goal
 
 (** Normalize any language to single-panel TRC queries — the diagram

@@ -109,10 +109,10 @@ let gen_trc ?(max_ranges = 2) ?(depth = 2) st (schemas : schemas) : T.query =
 
 (** DRC queries come from TRC through the standard translation, which
     yields exactly the dot-chained-[exists] shapes whose roundtrip used to
-    be broken.  [max_ranges]/[depth] bound the TRC shape: evaluating DRC
-    goes through the active-domain construction, whose cost is adom^k in
-    the number of column variables, so equivalence checks want shallow
-    queries while print->parse identity can afford deep ones. *)
+    be broken.  [max_ranges]/[depth] bound the TRC shape: the naive DRC
+    oracle enumerates the active domain, adom^k in the number of column
+    variables, so equivalence checks want shallow queries while
+    print->parse identity can afford deep ones. *)
 let gen_drc ?max_ranges ?depth st (schemas : schemas) : Diagres_rc.Drc.query =
   Diagres_rc.Translate.trc_to_drc schemas
     (gen_trc ?max_ranges ?depth st schemas)

@@ -77,8 +77,158 @@ let is_canonical b =
   let rec go i = i >= b.nrows || (cmp (i - 1) i < 0 && go (i + 1)) in
   b.nrows = 0 || go 1
 
+(** The comparison-sort canonicalization: a stable merge sort of the row
+    indexes under {!row_compare}, then the first row of each run of equal
+    rows kept. *)
+let sort_dedup_compare b : t =
+  if ncols b = 0 then { b with nrows = min b.nrows 1 }
+  else begin
+    let n = b.nrows in
+    let idx = Array.init n (fun i -> i) in
+    let cmp = row_compare b in
+    Array.stable_sort cmp idx;
+    let sel = Array.make n 0 and kept = ref 0 in
+    for k = 0 to n - 1 do
+      if k = 0 || cmp idx.(k - 1) idx.(k) <> 0 then begin
+        sel.(!kept) <- idx.(k);
+        incr kept
+      end
+    done;
+    gather b (if !kept = n then sel else Array.sub sel 0 !kept)
+  end
+
+(* Bits needed to write [n >= 0] in binary. *)
+let bits_for n =
+  let rec go k = if n lsr k = 0 then k else go (k + 1) in
+  go 0
+
+(* Radix keys hold each column's offset from its minimum, earlier columns
+   in more significant bits, and the row index in the low bits.  [None]
+   when a column is not an int, code or bool column, or when the packed
+   width would pass 62 bits. *)
+let packing b : (int array * int array * int) option =
+  let nc = ncols b in
+  let mins = Array.make nc 0 and widths = Array.make nc 0 in
+  let idx_bits = bits_for b.nrows in
+  let range = function
+    | Column.Ints a | Column.Codes (a, _) ->
+      let lo = ref max_int and hi = ref min_int in
+      for i = 0 to Bigarray.Array1.dim a - 1 do
+        let v = Bigarray.Array1.unsafe_get a i in
+        if v < !lo then lo := v;
+        if v > !hi then hi := v
+      done;
+      let span = !hi - !lo in
+      (* a negative span is an overflow: the values need all 63 bits *)
+      if span < 0 then None else Some (!lo, span)
+    | Column.Bools _ -> Some (0, 1)
+    | Column.Floats _ | Column.Boxed _ -> None
+  in
+  let rec go c total =
+    if c = nc then Some (mins, widths, idx_bits)
+    else
+      match range b.cols.(c) with
+      | None -> None
+      | Some (lo, span) ->
+        let w = bits_for span in
+        if total + w > 62 then None
+        else begin
+          mins.(c) <- lo;
+          widths.(c) <- w;
+          go (c + 1) (total + w)
+        end
+  in
+  if nc = 0 || b.nrows = 0 then None else go 0 idx_bits
+
+(** Whether {!sort_dedup} takes the radix path on [b] (exposed for
+    tests). *)
+let radix_eligible b = packing b <> None
+
+(* LSD radix sort of [keys] on bits [lo, lo + bits), in passes of at most
+   11 bits, and of fewer for short arrays, so that clearing the buckets
+   never costs much more than the keys themselves.  Stable, so keys equal
+   on those bits keep their order. *)
+let radix_sort (keys : int array) ~lo ~bits : int array =
+  if bits = 0 then keys
+  else begin
+    let n = Array.length keys in
+    let digit = max 4 (min 11 (bits_for n)) in
+    let passes = (bits + digit - 1) / digit in
+    let w = (bits + passes - 1) / passes in
+    let size = 1 lsl w and mask = (1 lsl w) - 1 in
+    let count = Array.make size 0 in
+    let src = ref keys and dst = ref (Array.make n 0) in
+    for p = 0 to passes - 1 do
+      let sh = lo + (p * w) and s = !src and d = !dst in
+      Array.fill count 0 size 0;
+      for i = 0 to n - 1 do
+        let k = (Array.unsafe_get s i lsr sh) land mask in
+        Array.unsafe_set count k (Array.unsafe_get count k + 1)
+      done;
+      let sum = ref 0 in
+      for k = 0 to size - 1 do
+        let c = Array.unsafe_get count k in
+        Array.unsafe_set count k !sum;
+        sum := !sum + c
+      done;
+      for i = 0 to n - 1 do
+        let key = Array.unsafe_get s i in
+        let k = (key lsr sh) land mask in
+        let pos = Array.unsafe_get count k in
+        Array.unsafe_set d pos key;
+        Array.unsafe_set count k (pos + 1)
+      done;
+      src := d;
+      dst := s
+    done;
+    !src
+  end
+
+let sort_dedup_radix b (mins, widths, idx_bits) : t =
+  let n = b.nrows in
+  let keys = Array.init n (fun i -> i) in
+  let shift = ref idx_bits in
+  for c = ncols b - 1 downto 0 do
+    let w = widths.(c) and m = mins.(c) and s = !shift in
+    if w > 0 then begin
+      (match b.cols.(c) with
+      | Column.Ints a | Column.Codes (a, _) ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set keys i
+            (Array.unsafe_get keys i lor ((Bigarray.Array1.unsafe_get a i - m) lsl s))
+        done
+      | Column.Bools (bits, _) ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set keys i (Array.unsafe_get keys i lor (Column.bit_get bits i lsl s))
+        done
+      | Column.Floats _ | Column.Boxed _ -> assert false);
+      shift := s + w
+    end
+  done;
+  (* the keys start in row order, so sorting the value bits stably sorts
+     the whole keys *)
+  let sorted = radix_sort keys ~lo:idx_bits ~bits:(!shift - idx_bits) in
+  let mask = (1 lsl idx_bits) - 1 in
+  let sel = Array.make n 0 and kept = ref 0 in
+  for k = 0 to n - 1 do
+    let key = Array.unsafe_get sorted k in
+    if k = 0 || key lsr idx_bits <> Array.unsafe_get sorted (k - 1) lsr idx_bits then begin
+      Array.unsafe_set sel !kept (key land mask);
+      incr kept
+    end
+  done;
+  gather b (if !kept = n then sel else Array.sub sel 0 !kept)
+
 (** Canonicalize: sort rows ascending, drop duplicates.  Already-canonical
-    batches are returned as-is (one comparator pass, no copy). *)
+    batches are returned as-is (one comparator pass, no copy).  A single
+    exactly-represented column dedups off its value/code domain.  When
+    every column holds ints, dictionary codes or bools and their value
+    ranges fit, each row packs into one int key — per column its offset
+    from the column minimum, earlier columns more significant, the row
+    index in the low bits — and an LSD radix sort orders the keys; since
+    dictionaries are sorted, code order is string order and the result is
+    exactly {!Tuple.compare} order.  Other batches take
+    {!sort_dedup_compare}. *)
 let sort_dedup b : t =
   if b.nrows <= 1 && ncols b > 0 then b
   else if ncols b = 0 then { b with nrows = min b.nrows 1 }
@@ -89,24 +239,12 @@ let sort_dedup b : t =
       if ncols b = 1 then Column.distinct_sorted b.cols.(0) else None
     with
     | Some c -> { nrows = Column.length c; cols = [| c |] }
-    | None ->
+    | None -> (
       if is_canonical b then b
-      else begin
-        let idx = Array.init b.nrows (fun i -> i) in
-        let cmp = row_compare b in
-        Array.sort cmp idx;
-        (* keep the first of each run of equal rows *)
-        let keep = ref [] and kept = ref 0 in
-        for k = b.nrows - 1 downto 0 do
-          if k = 0 || cmp idx.(k - 1) idx.(k) <> 0 then begin
-            keep := idx.(k) :: !keep;
-            incr kept
-          end
-        done;
-        let sel = Array.make !kept 0 in
-        List.iteri (fun i v -> sel.(i) <- v) !keep;
-        gather b sel
-      end
+      else
+        match packing b with
+        | Some p -> sort_dedup_radix b p
+        | None -> sort_dedup_compare b)
 
 (* ---------------- linear-merge set operations ----------------
 

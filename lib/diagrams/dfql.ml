@@ -38,6 +38,7 @@ let of_ra (e : A.t) : t =
   let rec go (e : A.t) : int =
     match e with
     | A.Rel r -> add r `Relation
+    | A.Values _ -> add (Diagres_ra.Pretty.unicode e) `Relation
     | A.Empty e1 ->
       let n = add "∅" `Operator in
       let c = go e1 in

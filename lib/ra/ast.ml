@@ -20,6 +20,11 @@ type pred =
 
 type t =
   | Rel of string                        (** base relation *)
+  | Values of string * Diagres_data.Value.t list
+      (** the literal one-column relation [{⟨x: c⟩ | c ∈ cs}] — the
+          constant relations of the textbook algebra, which the calculus
+          translation needs for a variable bound only by [x = c] and for
+          the formula's constants in the active domain *)
   | Empty of t
       (** the empty relation with the schema of the carried expression,
           which is never evaluated — the zero the optimizer's dead-branch
@@ -58,6 +63,7 @@ let pred_conj = List.fold_left pred_and Ptrue
     table occurrences" that the QBE/Datalog comparison counts). *)
 let rec base_relations = function
   | Rel r -> [ r ]
+  | Values _ -> []
   | Empty e | Select (_, e) | Project (_, e) | Rename (_, e) ->
     base_relations e
   | Product (a, b) | Join (a, b) | Theta_join (_, a, b)
@@ -66,7 +72,7 @@ let rec base_relations = function
 
 (** Number of operator nodes — the complexity measure used in benches. *)
 let rec size = function
-  | Rel _ -> 1
+  | Rel _ | Values _ -> 1
   | Empty e | Select (_, e) | Project (_, e) | Rename (_, e) -> 1 + size e
   | Product (a, b) | Join (a, b) | Theta_join (_, a, b)
   | Union (a, b) | Inter (a, b) | Diff (a, b) | Division (a, b) ->

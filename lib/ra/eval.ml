@@ -24,6 +24,10 @@ let rec eval db (e : Ast.t) : D.Relation.t =
     match D.Database.find_opt r db with
     | Some rel -> rel
     | None -> raise (Eval_error ("unknown relation " ^ r)))
+  | Ast.Values (_, vs) ->
+    D.Relation.of_lists
+      (Typecheck.infer (Typecheck.env_of_database db) e)
+      (List.map (fun v -> [ v ]) vs)
   | Ast.Empty e ->
     (* zero-cost: only the schema of [e] is needed, never its tuples *)
     D.Relation.empty (Typecheck.infer (Typecheck.env_of_database db) e)

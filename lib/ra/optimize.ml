@@ -58,7 +58,7 @@ let pred_typed env p e =
 let empty_of e = Ast.Empty e
 
 let rec is_empty_expr = function
-  | Ast.Empty _ -> true
+  | Ast.Empty _ | Ast.Values (_, []) -> true
   | Ast.Diff (a, b) when Ast.equal a b -> true
   | Ast.Select (_, e) | Ast.Project (_, e) | Ast.Rename (_, e) ->
     is_empty_expr e
@@ -68,17 +68,35 @@ let rec is_empty_expr = function
   | Ast.Union (a, b) -> is_empty_expr a && is_empty_expr b
   | _ -> false
 
+(* The input name of output attribute [x] under the simultaneous
+   renaming [pairs]. *)
+let renamed_from pairs x =
+  match List.find_opt (fun (_, b) -> b = x) pairs with Some (a, _) -> a | None -> x
+
+let rec rename_pred f (p : Ast.pred) : Ast.pred =
+  let operand = function Ast.Attr a -> Ast.Attr (f a) | c -> c in
+  match p with
+  | Ast.Cmp (op, a, b) -> Ast.Cmp (op, operand a, operand b)
+  | Ast.And (a, b) -> Ast.And (rename_pred f a, rename_pred f b)
+  | Ast.Or (a, b) -> Ast.Or (rename_pred f a, rename_pred f b)
+  | Ast.Not a -> Ast.Not (rename_pred f a)
+  | Ast.Ptrue -> Ast.Ptrue
+
 (** One bottom-up simplification pass.  Rules:
     - cascade selections: σp(σq(e)) → σ(p∧q)(e)
     - selection over product/theta-join: push conjuncts to the side that
       covers them; conjuncts spanning both sides fold into a theta join
     - selection over union/diff/intersect distributes
+    - selection below projection: σp(πb(e)) → πb(σp(e)), and selection
+      and projection below renaming: σp(ρ(e)) → ρ(σp'(e)),
+      πa(ρ(e)) → ρ'(πa'(e)) — so that the projection stacks the calculus
+      translations emit meet and cascade
     - projection cascade: π_a(π_b(e)) → π_a(e)
     - identity projection removed
     - σtrue(e) → e *)
 let rec pass env (e : Ast.t) : Ast.t =
   match e with
-  | Ast.Rel _ -> e
+  | Ast.Rel _ | Ast.Values _ -> e
   | Ast.Empty e1 -> Ast.Empty (pass env e1)
   | Ast.Select (Ast.Ptrue, e1) -> pass env e1
   | Ast.Select (p, e1) when pred_unsat (Typecheck.infer env e1) p ->
@@ -104,6 +122,8 @@ let rec pass env (e : Ast.t) : Ast.t =
   | Ast.Select (p, Ast.Inter (a, b))
     when pred_typed env p a && pred_typed env p b ->
     Ast.Inter (pass env (Ast.Select (p, a)), pass env (Ast.Select (p, b)))
+  | Ast.Select (p, Ast.Project (b, e1)) ->
+    Ast.Project (b, pass env (Ast.Select (p, e1)))
   | Ast.Select (p, (Ast.Product (a, b) | Ast.Theta_join (_, a, b) as inner)) ->
     let base_pred =
       match inner with Ast.Theta_join (q, _, _) -> split_conj q | _ -> []
@@ -124,9 +144,15 @@ let rec pass env (e : Ast.t) : Ast.t =
     (match cross with
     | [] -> Ast.Product (a', b')
     | ps -> Ast.Theta_join (Ast.pred_conj ps, a', b'))
+  | Ast.Select (p, Ast.Rename (pairs, e1)) ->
+    Ast.Rename (pairs, pass env (Ast.Select (rename_pred (renamed_from pairs) p, e1)))
   | Ast.Select (p, e1) -> Ast.Select (p, pass env e1)
   | Ast.Project (outer, Ast.Project (_, e1)) ->
     pass env (Ast.Project (outer, e1))
+  | Ast.Project (names, Ast.Rename (pairs, e1)) ->
+    let kept = List.filter (fun (_, b) -> List.mem b names) pairs in
+    let inner = Ast.Project (List.map (renamed_from pairs) names, e1) in
+    if kept = [] then pass env inner else Ast.Rename (kept, pass env inner)
   | Ast.Project (names, e1) ->
     if names = attrs env e1 then pass env e1
     else Ast.Project (names, pass env e1)
@@ -155,7 +181,7 @@ let optimize_db db e = optimize (Typecheck.env_of_database db) e
 (** Detect an equality theta-join that a natural join could express after a
     rename — a purely structural statistic surfaced by the survey bench. *)
 let rec count_equijoins = function
-  | Ast.Rel _ -> 0
+  | Ast.Rel _ | Ast.Values _ -> 0
   | Ast.Empty e | Ast.Select (_, e) | Ast.Project (_, e) | Ast.Rename (_, e) ->
     count_equijoins e
   | Ast.Theta_join (p, a, b) ->

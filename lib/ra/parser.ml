@@ -21,7 +21,8 @@ exception Parse_error = S.Parse_error
 
 let keywords =
   [ "select"; "sigma"; "project"; "pi"; "rename"; "rho"; "join"; "union";
-    "intersect"; "minus"; "div"; "and"; "or"; "not"; "true"; "empty" ]
+    "intersect"; "minus"; "div"; "and"; "or"; "not"; "true"; "empty";
+    "values" ]
 
 let operand s : Ast.operand =
   match S.peek s with
@@ -115,6 +116,17 @@ and factor s =
   else if S.at_kw s "rename" || S.at_kw s "rho" then begin
     S.advance s;
     unary (fun pairs e -> Ast.Rename (pairs, e)) rename_list
+  end
+  else if S.eat_kw s "values" then begin
+    S.expect_sym s "[";
+    let x = S.ident_not s keywords in
+    S.expect_sym s "]";
+    S.expect_sym s "(";
+    let vs =
+      if S.at_sym s ")" then [] else S.sep_list1 s ~sep:"," S.value
+    in
+    S.expect_sym s ")";
+    Ast.Values (x, vs)
   end
   else if S.eat_kw s "empty" then begin
     S.expect_sym s "(";

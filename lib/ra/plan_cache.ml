@@ -57,7 +57,7 @@ let rec canonical_pred (p : Ast.pred) : Ast.pred =
     as-is. *)
 let rec canonical (e : Ast.t) : Ast.t =
   match e with
-  | Ast.Rel _ -> e
+  | Ast.Rel _ | Ast.Values _ -> e
   | Ast.Empty c -> Ast.Empty (canonical c)
   | Ast.Select (p, c) -> Ast.Select (canonical_pred p, canonical c)
   | Ast.Project (attrs, c) -> Ast.Project (attrs, canonical c)

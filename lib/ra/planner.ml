@@ -15,8 +15,8 @@
       1/distinct for equality, 1/3 for ranges, independence for ∧/∨);
     - {b hash-consing} — structurally equal subexpressions map to the same
       physical node via a memo table, so shared subtrees (ubiquitous in
-      calculus-translated queries, whose active-domain unions repeat the
-      adomᵏ construction) are evaluated once.
+      calculus-translated queries, which repeat a context relation in every
+      negation and semi-join) are evaluated once.
 
     Because set operations are positionally compatible, a chain whose
     greedy order differs from the syntactic one ends in a positional
@@ -204,6 +204,13 @@ and build st (e : Ast.t) : Plan.t =
   | Ast.Empty _ ->
     let schema = Typecheck.infer st.env e in
     mk Plan.Empty schema 0. (Array.make (D.Schema.arity schema) 0.)
+  | Ast.Values (x, vs) ->
+    (* a literal: scanned like a base relation under a name no relation
+       can have, so view maintenance never sees a delta for it *)
+    let schema = Typecheck.infer st.env e in
+    let rel = D.Relation.of_lists schema (List.map (fun v -> [ v ]) vs) in
+    let n = float_of_int (D.Relation.cardinality rel) in
+    mk (Plan.Scan ("values[" ^ x ^ "]", rel)) schema n [| n |]
   | Ast.Select _ | Ast.Product _ | Ast.Join _ | Ast.Theta_join _ ->
     plan_chain st e
   | Ast.Project (attrs, e1) ->

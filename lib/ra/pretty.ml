@@ -28,7 +28,12 @@ and pred_atom p =
 let level = function
   | Ast.Union _ | Ast.Inter _ | Ast.Diff _ -> 1
   | Ast.Product _ | Ast.Join _ | Ast.Theta_join _ | Ast.Division _ -> 2
-  | Ast.Rel _ | Ast.Empty _ | Ast.Select _ | Ast.Project _ | Ast.Rename _ -> 3
+  | Ast.Rel _ | Ast.Values _ | Ast.Empty _ | Ast.Select _ | Ast.Project _
+  | Ast.Rename _ ->
+    3
+
+let literals vs =
+  String.concat ", " (List.map Diagres_data.Value.to_literal vs)
 
 let rec ascii e =
   let sub child =
@@ -36,6 +41,7 @@ let rec ascii e =
   in
   match e with
   | Ast.Rel r -> r
+  | Ast.Values (x, vs) -> Printf.sprintf "values[%s](%s)" x (literals vs)
   | Ast.Empty e1 -> Printf.sprintf "empty(%s)" (ascii e1)
   | Ast.Select (p, e1) ->
     Printf.sprintf "select[%s](%s)" (pred_to_string p) (ascii e1)
@@ -61,6 +67,7 @@ let rec unicode e =
   in
   match e with
   | Ast.Rel r -> r
+  | Ast.Values (x, vs) -> Printf.sprintf "{%s: %s}" x (literals vs)
   | Ast.Empty e1 -> Printf.sprintf "∅ %s" (sub_u e1)
   | Ast.Select (p, e1) -> Printf.sprintf "σ[%s] %s" (pred_to_string p) (sub_u e1)
   | Ast.Project (attrs, e1) ->
@@ -83,7 +90,8 @@ let rec unicode e =
    unary application *)
 and sub_u e =
   match e with
-  | Ast.Rel _ | Ast.Select _ | Ast.Project _ | Ast.Rename _ -> unicode e
+  | Ast.Rel _ | Ast.Values _ | Ast.Select _ | Ast.Project _ | Ast.Rename _ ->
+    unicode e
   | _ -> "(" ^ unicode e ^ ")"
 
 (** Operator-tree rendering, one node per line — the textual skeleton of the
@@ -95,6 +103,7 @@ let tree e =
     let deeper = indent ^ "  " in
     match e with
     | Ast.Rel r -> line r
+    | Ast.Values (x, vs) -> line (Printf.sprintf "{%s: %s}" x (literals vs))
     | Ast.Empty e1 ->
       line "∅";
       go deeper e1

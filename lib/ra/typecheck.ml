@@ -67,6 +67,16 @@ let rec infer (env : env) (e : Ast.t) : D.Schema.t =
       err "E-RA-TYPE-001" ~needle:r
         ~hints:(Diag.did_you_mean ~candidates:(List.map fst env) r)
         "unknown relation %S" r)
+  | Ast.Values (x, vs) ->
+    let ty =
+      match vs with
+      | [] -> D.Value.Tany
+      | v :: rest ->
+        List.fold_left
+          (fun t w -> D.Value.ty_join t (D.Value.type_of w))
+          (D.Value.type_of v) rest
+    in
+    [ D.Schema.attr ~ty x ]
   | Ast.Empty e -> infer env e
   | Ast.Select (p, e) ->
     let s = infer env e in

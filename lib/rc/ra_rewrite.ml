@@ -16,7 +16,7 @@ module T = Diagres_ra.Typecheck
     quotient schema.  Requires the typing environment to compute K. *)
 let rec eliminate_division env (e : A.t) : A.t =
   match e with
-  | A.Rel _ -> e
+  | A.Rel _ | A.Values _ -> e
   | A.Empty e1 -> A.Empty (eliminate_division env e1)
   | A.Select (p, e1) -> A.Select (p, eliminate_division env e1)
   | A.Project (attrs, e1) -> A.Project (attrs, eliminate_division env e1)
@@ -83,6 +83,9 @@ let pred_disjuncts (p : A.pred) : A.pred list =
 let rec pull_unions env (e : A.t) : A.t list =
   match e with
   | A.Rel _ -> [ e ]
+  (* a literal is the union of its one-row literals *)
+  | A.Values (x, (_ :: _ :: _ as vs)) -> List.map (fun v -> A.Values (x, [ v ])) vs
+  | A.Values _ -> [ e ]
   (* ∅ is already union-free; keep it as a single panel *)
   | A.Empty _ -> [ e ]
   | A.Select (p, e1) ->

@@ -35,6 +35,14 @@ let rec translate env supply (e : A.t) : rep =
     let attrs = schema_names e in
     let cols = List.map (fun a -> (a, N.fresh supply (N.sanitize a ^ "_"))) attrs in
     { formula = F.Pred (r, List.map (fun (_, v) -> F.Var v) cols); cols }
+  | A.Values (x, vs) ->
+    let v = N.fresh supply (N.sanitize x ^ "_") in
+    let formula =
+      match vs with
+      | [] -> F.And (F.eq (F.Var v) (F.cint 0), F.False)  (* keeps v free *)
+      | _ -> F.disj (List.map (fun c -> F.eq (F.Var v) (F.Const c)) vs)
+    in
+    { formula; cols = [ (x, v) ] }
   | A.Empty e1 ->
     (* the calculus has no ∅ literal; e − e is the classical encoding *)
     translate env supply (A.Diff (e1, e1))

@@ -48,6 +48,10 @@ let rec translate env supply (e : A.t) : rep =
     { ranges = [ (v, r) ];
       body = Trc.True;
       cols = List.map (fun a -> (a, Trc.Field (v, a))) attrs }
+  | A.Values (x, [ c ]) -> { ranges = []; body = Trc.True; cols = [ (x, Trc.Const c) ] }
+  | A.Values (x, []) ->
+    { ranges = []; body = Trc.False; cols = [ (x, Trc.Const (Diagres_data.Value.Int 0)) ] }
+  | A.Values _ -> raise Union_not_supported
   | A.Empty e1 ->
     (* the calculus has no ∅ literal; e − e is the classical encoding *)
     translate env supply (A.Diff (e1, e1))

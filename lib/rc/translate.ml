@@ -3,6 +3,9 @@
     Direct arrows: TRC→DRC ({!Trc_to_drc}), DRC→RA ({!Drc_to_ra}),
     RA→DRC ({!Ra_to_drc}), RA→TRC ({!Ra_to_trc}).  The remaining arrows
     compose: TRC→RA = DRC→RA ∘ TRC→DRC, and DRC→TRC = RA→TRC ∘ DRC→RA.
+    DRC→RA is range-restricted (the active domain only for unrestricted
+    variables), so every composed arrow — and SQL and Datalog, which reach
+    RA through it — yields RA that plans like hand-written algebra.
     Every arrow is differential-tested for semantics preservation. *)
 
 type schemas = (string * Diagres_data.Schema.t) list
@@ -57,7 +60,9 @@ type any_query =
   | Trc of Trc.query
   | Drc of Drc.query
 
+(** DRC evaluates through the planner ({!Drc_to_ra.eval}); TRC on its
+    range-restricted evaluator. *)
 let eval_any db = function
   | Ra e -> Diagres_ra.Eval.eval_planned db e
   | Trc q -> Trc.eval db q
-  | Drc q -> Drc.eval db q
+  | Drc q -> Drc_to_ra.eval db q

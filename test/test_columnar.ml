@@ -333,6 +333,59 @@ let test_distinct_sorted_paths () =
   Alcotest.(check (list int)) "singleton" [ 7 ] (dedup [ 7 ]);
   Alcotest.(check (list int)) "empty" [] (dedup [])
 
+(* The radix canonicalization against the comparison sort and against
+   the sorted tuple set, row for row. *)
+let test_radix_sort_dedup () =
+  let st = Random.State.make [| 61 |] in
+  let check what ~radix (tups : D.Tuple.t array) arity =
+    let b = D.Batch.of_tuples ~arity tups in
+    Alcotest.(check bool) (what ^ ": radix path") radix (D.Batch.radix_eligible b);
+    let rows b = Array.to_list (D.Batch.to_tuples b) in
+    let expected = List.sort_uniq D.Tuple.compare (Array.to_list tups) in
+    let got = rows (D.Batch.sort_dedup b) in
+    let cmp = rows (D.Batch.sort_dedup_compare b) in
+    let same a b = List.length a = List.length b && List.for_all2 (fun x y -> D.Tuple.compare x y = 0) a b in
+    if not (same got expected && same cmp expected) then
+      Alcotest.failf "%s: sort_dedup differs from the sorted tuple set" what
+  in
+  let int_in lo hi = V.Int (lo + Random.State.int st (hi - lo + 1)) in
+  let str () = V.String (List.nth [ "a"; "b"; "red"; "O'Brien"; "zz"; "" ] (Random.State.int st 6)) in
+  let bool () = V.Bool (Random.State.bool st) in
+  let batch n gens = Array.init n (fun _ -> Array.map (fun g -> g ()) gens) in
+  for round = 1 to 20 do
+    let n = Random.State.int st 3000 in
+    let w = Printf.sprintf "round %d, %d rows" round n in
+    (* negative ints, few distinct values: heavy duplication *)
+    check (w ^ ", ints") ~radix:(n > 0)
+      (batch n [| (fun () -> int_in (-5) 5); (fun () -> int_in (-1000) 1000) |]) 2;
+    check (w ^ ", codes/bools/ints") ~radix:(n > 0)
+      (batch n [| str; bool; (fun () -> int_in (-3) 40) |]) 3;
+    (* ranges that pass 62 packed bits fall back to the comparison sort *)
+    check (w ^ ", wide ints") ~radix:false
+      (batch (max n 2) [| (fun () -> if Random.State.bool st then V.Int min_int else V.Int max_int);
+                          (fun () -> int_in 0 3) |]) 2;
+    check (w ^ ", 3 x 31 bits") ~radix:false
+      (batch (max n 2) [| (fun () -> V.Int (Random.State.bits st)); (fun () -> V.Int (Random.State.bits st));
+                          (fun () -> V.Int (Random.State.bits st)) |]) 3;
+    (* floats and mixed kinds: no radix *)
+    check (w ^ ", floats") ~radix:false
+      (batch n [| (fun () -> V.Float (float_of_int (Random.State.int st 4))); (fun () -> int_in 0 3) |]) 2;
+    check (w ^ ", mixed") ~radix:false
+      (batch n [| (fun () -> if Random.State.bool st then int_in 0 3 else str ()); bool |]) 2
+  done;
+  List.iter
+    (fun rows ->
+      check (Printf.sprintf "%d rows" (List.length rows)) ~radix:(rows <> [])
+        (Array.of_list (List.map Array.of_list rows)) 2)
+    [ []; [ [ V.Int 5; V.Int (-1) ] ]; [ [ V.Int 5; V.Int (-1) ]; [ V.Int (-5); V.Int 1 ] ];
+      [ [ V.Int 2; V.Int 2 ]; [ V.Int 2; V.Int 2 ] ] ];
+  (* nullary batches keep at most the empty tuple *)
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (Printf.sprintf "nullary, %d rows" n) (min n 1)
+        (D.Batch.nrows (D.Batch.sort_dedup (D.Batch.make ~nrows:n [||]))))
+    [ 0; 1; 5 ]
+
 let test_tuples_array_memoized () =
   let r = D.Sample_db.sailors in
   Alcotest.(check bool) "same physical array" true
@@ -587,6 +640,8 @@ let () =
       ( "relations",
         [ Alcotest.test_case "of_batch canonicalizes" `Quick
             test_of_batch_canonicalizes;
+          Alcotest.test_case "radix sort_dedup = comparison sort" `Quick
+            test_radix_sort_dedup;
           Alcotest.test_case "distinct_sorted paths" `Quick
             test_distinct_sorted_paths;
           Alcotest.test_case "tuples_array memoized" `Quick

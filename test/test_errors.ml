@@ -304,6 +304,47 @@ let test_diag_in_translator () =
       ( "datalog safety", L.Datalog,
         "q(X) :- Sailor(X, N, R, A), not Boat(Y, B, C).", "E-DLG-CHECK-003" ) ]
 
+(* Bodies that fold to a constant false translate to the empty relation
+   with the head's schema: each registers as a view, and the view and the
+   direct evaluation both hold 0 rows. *)
+let constant_false_cases =
+  [ (L.Sql, "SELECT s.sid FROM Sailor s WHERE 1 = 2");
+    (L.Trc, "{ s.sid | s in Sailor : 1 = 2 }");
+    (L.Drc, "{ x | exists n, r, a (Sailor(x, n, r, a)) & 1 = 2 }");
+    (L.Datalog, "q(S) :- Sailor(S, N, R, A), 1 = 2.") ]
+
+let test_constant_false_bodies () =
+  let module V = Diagres.Views in
+  List.iter
+    (fun (lang, src) ->
+      let what = L.name lang ^ ": " ^ src in
+      let q = L.parse lang src in
+      (match L.to_ra D.Sample_db.schemas q with
+      | Diagres_ra.Ast.Empty _ as e ->
+        Alcotest.(check int) (what ^ ": arity") 1
+          (D.Schema.arity (Diagres_ra.Typecheck.infer_db db e))
+      | e ->
+        Alcotest.failf "%s: translated to %s, not empty(...)" what
+          (Diagres_ra.Pretty.ascii e));
+      let reg = V.create db in
+      let v = V.register reg ~name:"v" ~lang ~source:src in
+      Alcotest.(check int) (what ^ ": view rows") 0
+        (D.Relation.cardinality (V.result v));
+      Alcotest.(check int) (what ^ ": eval rows") 0
+        (D.Relation.cardinality (L.eval db q)))
+    constant_false_cases;
+  (* with an empty head, true is the 0-ary unit and false the 0-ary empty
+     relation *)
+  let boolean src rows =
+    let e = L.to_ra D.Sample_db.schemas (L.parse L.Drc src) in
+    Alcotest.(check int) (src ^ ": rows") rows
+      (D.Relation.cardinality (Diagres_ra.Eval.eval_planned db e));
+    Alcotest.(check int) (src ^ ": arity") 0
+      (D.Schema.arity (Diagres_ra.Typecheck.infer_db db e))
+  in
+  boolean "{ | 1 = 1 }" 1;
+  boolean "{ | 1 = 2 }" 0
+
 let test_suggestions () =
   Alcotest.(check (option string))
     "suggest Sailor"
@@ -334,7 +375,9 @@ let () =
           Alcotest.test_case "resolve/type/safety errors" `Quick
             test_query_errors;
           Alcotest.test_case "csv errors" `Quick test_csv_errors;
-          Alcotest.test_case "cli errors" `Quick test_cli_errors ] );
+          Alcotest.test_case "cli errors" `Quick test_cli_errors;
+          Alcotest.test_case "constant-false bodies" `Quick
+            test_constant_false_bodies ] );
       ( "contract",
         [ Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "catch-all net" `Quick test_capture_all;

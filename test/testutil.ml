@@ -9,10 +9,10 @@ let db = D.Sample_db.db
 let schemas = D.Sample_db.schemas
 let env = Diagres_ra.Typecheck.env_of_database db
 
-(** A very small instance with the sailors schema.  Translation round-trip
-    properties that go through the active-domain construction (DRC → RA)
-    materialize adomᵏ intermediates, so they must run on a database whose
-    active domain is tiny. *)
+(** A very small instance with the sailors schema.  Properties checked
+    against the naive calculus evaluators, which enumerate the active
+    domain (adomᵏ for k variables), run on a database whose active domain
+    is tiny. *)
 let tiny_db =
   let i n = D.Value.Int n and s x = D.Value.String x and f x = D.Value.Float x in
   D.Database.of_list
