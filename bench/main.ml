@@ -73,8 +73,8 @@ let e4_table () =
   Printf.printf "crossing ligatures: %d\n"
     (List.length (Diagres_diagrams.Eg_beta.crossing_ligatures g));
   Printf.printf "outermost reading true: %b   innermost reading true: %b\n"
-    (Diagres_rc.Drc.eval_sentence db outer)
-    (Diagres_rc.Drc.eval_sentence db inner);
+    (Diagres_rc.Drc_to_ra.eval_sentence db outer)
+    (Diagres_rc.Drc_to_ra.eval_sentence db inner);
   Printf.printf
     "(differing readings on crossing graphs = the tutorial's Part-4 point)\n"
 
@@ -562,7 +562,9 @@ let scaling_table ~quick () =
       in
       let t_ra = run "q1-ra" (fun () -> Diagres_ra.Eval.eval rdb ra) in
       let t_trc = run "q1-trc" (fun () -> Diagres_rc.Trc.eval rdb trc) in
-      let t_drc = run "q1-drc" (fun () -> Diagres_rc.Drc.eval rdb drc) in
+      let t_drc =
+        run "q1-drc-planned" (fun () -> Diagres_rc.Drc_to_ra.eval rdb drc)
+      in
       let t_dl =
         run "q1-datalog" (fun () ->
             Diagres_datalog.Eval.query rdb dl ~goal:"q1")
@@ -589,44 +591,6 @@ let scaling_table ~quick () =
   Printf.printf
     "(index-backed engines stay near-linear; '-' = full-scan baseline \
      skipped beyond its feasible size)\n"
-
-let tc_table ~quick () =
-  hr "Datalog transitive closure (chain graph): naive vs semi-naive fixpoint";
-  let module DD = Diagres_data in
-  let chain n =
-    let schema =
-      [ DD.Schema.attr ~ty:DD.Value.Tint "src";
-        DD.Schema.attr ~ty:DD.Value.Tint "dst" ]
-    in
-    let rows = List.init n (fun i -> [ DD.Value.Int i; DD.Value.Int (i + 1) ]) in
-    DD.Database.of_list [ ("Edge", DD.Relation.of_lists schema rows) ]
-  in
-  let p =
-    Diagres_datalog.Parser.parse
-      "path(X, Y) :- Edge(X, Y).\npath(X, Y) :- Edge(X, Z), path(Z, Y)."
-  in
-  Printf.printf "%8s %12s %14s %9s %8s\n" "depth" "naive(s)" "semi-naive(s)"
-    "speedup" "paths";
-  List.iter
-    (fun depth ->
-      let gdb = chain depth in
-      let t_naive, _ =
-        timed (fun () -> Diagres_datalog.Fixpoint.query_naive gdb p ~goal:"path")
-      in
-      let t_semi, r =
-        timed (fun () -> Diagres_datalog.Fixpoint.query gdb p ~goal:"path")
-      in
-      let rows = DD.Relation.cardinality r in
-      record ~name:(Printf.sprintf "tc/naive/depth=%d" depth)
-        ~ns:(t_naive *. 1e9) ~tuples:depth ~rows;
-      record ~name:(Printf.sprintf "tc/semi-naive/depth=%d" depth)
-        ~ns:(t_semi *. 1e9) ~tuples:depth ~rows;
-      Printf.printf "%8d %12.4f %14.4f %8.1fx %8d\n" depth t_naive t_semi
-        (t_naive /. t_semi) rows)
-    (if quick then [ 50 ] else [ 50; 100; 200 ]);
-  Printf.printf
-    "(naive re-derives every path each round: Θ(depth) rounds × Θ(depth²) \
-     tuples; semi-naive joins only the last round's delta)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E11: the cost-based physical planner against the two older engines:
@@ -707,12 +671,12 @@ let e11_table ~quick () =
 
 module Pool = Diagres_pool.Pool
 
-(* The domain sweep (--domains 1,2,4,8): the join-heavy E11 workloads plus
-   a Datalog transitive closure, executed by the same compiled plan at
-   each domain count.  Plans are built once and re-run (each Plan.run
-   computes every node afresh), so the sweep isolates the execution
-   layer; a warm-up run populates the relation-level index caches first
-   so every domain count probes the same read-only structures. *)
+(* The domain sweep (--domains 1,2,4,8): the join-heavy E11 workloads,
+   executed by the same compiled plan at each domain count.  Plans are
+   built once and re-run (each Plan.run computes every node afresh), so
+   the sweep isolates the execution layer; a warm-up run populates the
+   relation-level index caches first so every domain count probes the
+   same read-only structures. *)
 let e12_parallel_table ~quick ~domains () =
   hr "E12  morsel-parallel execution: domain sweep (wall-clock)";
   let theta =
@@ -762,48 +726,6 @@ let e12_parallel_table ~quick ~domains () =
           Printf.printf " %8.2fx %7b\n" (t1 /. tn) agree)
         queries)
     sizes;
-  (* Datalog: transitive closure over a chain, the delta rounds of the
-     semi-naive fixpoint spread across the pool *)
-  let () =
-    let module DD = Diagres_data in
-    let depth = if quick then 60 else 300 in
-      let chain =
-        let schema =
-          [ DD.Schema.attr ~ty:DD.Value.Tint "src";
-            DD.Schema.attr ~ty:DD.Value.Tint "dst" ]
-        in
-        DD.Database.of_list
-          [ ( "Edge",
-              DD.Relation.of_lists schema
-                (List.init depth (fun i ->
-                     [ DD.Value.Int i; DD.Value.Int (i + 1) ])) ) ]
-      in
-      let p =
-        Diagres_datalog.Parser.parse
-          "path(X, Y) :- Edge(X, Y).\npath(X, Y) :- Edge(X, Z), path(Z, Y)."
-      in
-      let reference = Diagres_datalog.Fixpoint.query chain p ~goal:"path" in
-      let times =
-        List.map
-          (fun d ->
-            Pool.set_size d;
-            let t, r =
-              walltimed3 (fun () ->
-                  Diagres_datalog.Fixpoint.query chain p ~goal:"path")
-            in
-            record
-              ~name:(Printf.sprintf "e12/parallel/tc-%d/domains=%d" depth d)
-              ~ns:(t *. 1e9) ~tuples:depth
-              ~rows:(Diagres_data.Relation.cardinality r);
-            (t, Diagres_data.Relation.same_rows reference r))
-          domains
-      in
-    Pool.set_size 1;
-    Printf.printf "%-12s %9d" (Printf.sprintf "tc-%d" depth) depth;
-    List.iter (fun (t, _) -> Printf.printf " %9.4f" t) times;
-    let t1 = fst (List.hd times) and tn = fst (List.hd (List.rev times)) in
-    Printf.printf " %8.2fx %7b\n" (t1 /. tn) (List.for_all snd times)
-  in
   Printf.printf
     "(speedup = 1 domain / largest sweep entry; agree = identical sorted \
      tuple sets at every domain count; this host has %d core(s))\n"
@@ -1138,7 +1060,8 @@ let bench_tests () =
   [
     Test.make ~name:"e1/eval-ra-q1" (stage (fun () -> Diagres_ra.Eval.eval db ra1));
     Test.make ~name:"e1/eval-trc-q1" (stage (fun () -> Diagres_rc.Trc.eval db trc1));
-    Test.make ~name:"e1/eval-drc-q1" (stage (fun () -> Diagres_rc.Drc.eval db drc1));
+    Test.make ~name:"e1/eval-drc-planned-q1"
+      (stage (fun () -> Diagres_rc.Drc_to_ra.eval db drc1));
     Test.make ~name:"e1/eval-datalog-q3"
       (stage (fun () -> Diagres_datalog.Eval.query db dl3 ~goal:"q3"));
     Test.make ~name:"e1/translate-trc-to-ra-q1"
@@ -1303,7 +1226,7 @@ let () =
       List.map int_of_string (String.split_on_char ',' spec)
     | None -> if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ]
   in
-  (* --only e13,e14: run a subset of the sections (shape, scaling, tc,
+  (* --only e13,e14: run a subset of the sections (shape, scaling,
      e11, e12, e13, e14, e16, e18, micro) *)
   let only =
     let rec find = function
@@ -1325,7 +1248,6 @@ let () =
     e10_table ()
   end;
   if want "scaling" then scaling_table ~quick ();
-  if want "tc" then tc_table ~quick ();
   if want "e11" then e11_table ~quick ();
   if want "e12" then begin
     e12_parallel_table ~quick ~domains ();

@@ -77,7 +77,7 @@ let () =
             Diagres_data.Generator.monadic_db ~universe:6
               ~preds:[ "S"; "M"; "P" ] ((i * 13) + seed)
           in
-          if not (Diagres_rc.Drc.eval_sentence db (S.to_fol m)) then begin
+          if not (Diagres_rc.Drc_to_ra.eval_sentence db (S.to_fol m)) then begin
             incr mismatches;
             Printf.printf "  MISMATCH on %s seed %d\n" (S.mood_to_string m) seed
           end
@@ -94,4 +94,6 @@ let () =
   print_string (Diagres_diagrams.Venn_peirce.to_ascii vp);
   Printf.printf "alternatives: %d — the same device Relational Diagrams use \
                  for UNION\n"
-    (List.length (Diagres_diagrams.Venn_peirce.alternatives vp))
+    (List.length (Diagres_diagrams.Venn_peirce.alternatives vp));
+  (* a valid mood that fails on some database is a bug: fail the run *)
+  if !mismatches > 0 then exit 1

@@ -37,8 +37,6 @@ let of_exn : exn -> Diag.t option = function
     Some (diag "E-DRC-EVAL-001" Diag.Eval "%s" msg)
   | Diagres_datalog.Eval.Eval_error msg ->
     Some (diag "E-DLG-EVAL-001" Diag.Eval "%s" msg)
-  | Diagres_datalog.Fixpoint.Fixpoint_error msg ->
-    Some (diag "E-DLG-EVAL-002" Diag.Eval "%s" msg)
   | Diagres_rc.Safety.Unsafe msg ->
     Some (diag "E-DRC-SAFE-001" Diag.Safety "%s" msg)
   | Diagres_sql.To_trc.Unsupported msg | Diagres_sql.Of_trc.Unsupported msg

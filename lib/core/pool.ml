@@ -4,9 +4,8 @@
     a domain costs tens of microseconds and the runtime caps the useful
     count at the core count — exactly the situation a worker pool exists
     for.  This module owns that pool for the whole library: the morsel-
-    parallel physical operators ({!Diagres_ra.Plan}), the parallel Datalog
-    delta rounds ({!Diagres_datalog.Fixpoint}), and anything else that
-    wants [parallel_map_chunks]/[parallel_fold] over tuple arrays.
+    parallel physical operators ({!Diagres_ra.Plan}) and anything else
+    that wants [parallel_map_chunks]/[parallel_fold] over tuple arrays.
 
     Design points:
 
@@ -272,7 +271,6 @@ let parallel_fold ?(chunk = default_chunk) ~(map : 'a array -> 'b)
   Array.fold_left merge init (parallel_map_chunks ~chunk map arr)
 
 (** [parallel_list_map f xs]: whole-element parallelism for short lists of
-    expensive tasks (one task per element) — the Datalog delta rounds run
-    each rule variant as one task. *)
+    expensive tasks (one task per element). *)
 let parallel_list_map (f : 'a -> 'b) (xs : 'a list) : 'b list =
   Array.to_list (run_all (Array.map (fun x () -> f x) (Array.of_list xs)))

@@ -47,8 +47,8 @@ let unambiguity_beta db (sentence : Diagres_logic.Fol.t) : verdict =
   let outer = Diagres_diagrams.Eg_beta.to_drc g in
   let inner = Diagres_diagrams.Eg_beta.to_drc_innermost g in
   let agree =
-    Diagres_rc.Drc.eval_sentence db outer
-    = Diagres_rc.Drc.eval_sentence db inner
+    Diagres_rc.Drc_to_ra.eval_sentence db outer
+    = Diagres_rc.Drc_to_ra.eval_sentence db inner
   in
   let crossings = Diagres_diagrams.Eg_beta.crossing_ligatures g in
   {

@@ -1,12 +1,12 @@
 (** End-to-end engine telemetry: hierarchical spans, counters, histograms.
 
     Every layer of the engine — the language frontends, the cost-based
-    planner, the physical operators, the Datalog fixpoint, the domain pool,
-    and the caches — reports into this one module, and three sinks read it
-    back out: [qviz eval --analyze] (the plan tree annotated with actual
-    per-operator times), [qviz … --trace-json FILE] (Chrome trace-event
-    JSON, loadable in Perfetto or [chrome://tracing]), and
-    [qviz stats] / [bench --json] (the metrics registry).
+    planner, the physical operators, the domain pool, and the caches —
+    reports into this one module, and three sinks read it back out:
+    [qviz eval --analyze] (the plan tree annotated with actual per-operator
+    times), [qviz … --trace-json FILE] (Chrome trace-event JSON, loadable
+    in Perfetto or [chrome://tracing]), and [qviz stats] / [bench --json]
+    (the metrics registry).
 
     Design constraints, in order:
 

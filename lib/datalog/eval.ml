@@ -1,10 +1,12 @@
-(** Bottom-up evaluation.
+(** Bottom-up evaluation: Datalog's user path.
 
     IDB predicates are computed in dependency order (one pass suffices:
-    the program is non-recursive).  Rule bodies run as nested-loop joins
-    with environment propagation; negative literals and conditions are
-    delayed until their variables are bound, which the safety check
-    guarantees will happen. *)
+    the program is non-recursive, which {!Check.check_program} enforces;
+    recursion is outside the tutorial's five-language backbone).  Rule
+    bodies run as nested-loop joins with environment propagation; negative
+    literals and conditions are delayed until their variables are bound,
+    which the safety check guarantees will happen.  The naive reading of
+    the program's DRC unfolding ({!To_drc.query}) is its test oracle. *)
 
 module D = Diagres_data
 
@@ -90,8 +92,7 @@ let lookup store name =
   | None -> raise (Eval_error ("predicate not yet computed: " ^ name))
 
 (** Evaluate one rule's body against [store], returning the head tuples it
-    derives.  Shared by the non-recursive engine below and the stratified
-    fixpoint engine ({!Fixpoint}). *)
+    derives. *)
 let eval_rule_tuples store (r : Ast.rule) : D.Tuple.t list =
     let rec go env literals acc =
       match pick env literals with

@@ -171,7 +171,7 @@ let ambiguous db (d : t) =
   match orders with
   | [] | [ _ ] -> false
   | o :: rest ->
-    let truth o = Diagres_rc.Drc.eval_sentence db (to_fol ~order:o d) in
+    let truth o = Diagres_rc.Drc_to_ra.eval_sentence db (to_fol ~order:o d) in
     let first = truth o in
     List.exists (fun o' -> truth o' <> first) rest
 

@@ -85,7 +85,7 @@ let valid_semantic ?(existential_import = false) (m : mood) =
   Venn.entails_semantic premise_d concl_d
 
 (** The FOL sentence [premises → conclusion] of a mood, for differential
-    testing against {!Diagres_rc.Drc.eval_sentence} on concrete monadic
+    testing against {!Diagres_rc.Drc_to_ra.eval_sentence} on concrete monadic
     databases. *)
 let to_fol ?(existential_import = false) (m : mood) =
   let module F = Diagres_logic.Fol in

@@ -2,9 +2,9 @@
     registered (materialized) query under batched inserts and deletes
     instead of re-running its plan.
 
-    This generalizes the semi-naive delta machinery of the Datalog
-    fixpoint ({!Diagres_datalog.Fixpoint}) — which rewrites each rule into
-    per-predicate delta variants — to every operator {!Plan} executes.  A
+    This generalizes semi-naive Datalog evaluation — which rewrites each
+    rule into per-predicate delta variants — to every operator {!Plan}
+    executes.  A
     maintenance round propagates a {e signed set delta} [(Δ⁺, Δ⁻)] from
     the updated base relations to the root, one rule per operator:
 

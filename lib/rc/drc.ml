@@ -4,7 +4,12 @@
     DRC is the language closest to FOL, hence the bridge between relational
     queries and the century of diagrammatic-reasoning formalisms: Peirce's
     beta existential graphs denote exactly its Boolean fragment.  A query is
-    [{ x₁, …, xₖ | φ }] with [free(φ) = {x₁, …, xₖ}]. *)
+    [{ x₁, …, xₖ | φ }] with [free(φ) = {x₁, …, xₖ}].
+
+    This module holds the syntax, the typecheck and the naive active-domain
+    evaluator ({!eval_naive}, {!eval_sentence_naive}), the reference
+    semantics.  Queries and Boolean sentences run planned through
+    {!Drc_to_ra.eval} and {!Drc_to_ra.eval_sentence}. *)
 
 type query = { head : string list; body : Diagres_logic.Fol.t }
 
@@ -19,13 +24,18 @@ let type_error fmt =
 
 let query head body = { head; body }
 
-(** Check head/free-variable agreement and predicate arities against the
-    database schemas. *)
+(** Check head/free-variable agreement, predicate arities against the
+    database schemas, and the operand types of comparisons.  A variable's
+    type is the column type of the atom positions it occupies, and [Tany]
+    when there are none or they disagree, so the check is never stricter
+    than the typecheck of the query's RA translation. *)
 let typecheck (schemas : (string * Diagres_data.Schema.t) list) (q : query) =
+  let module F = Diagres_logic.Fol in
+  let module V = Diagres_data.Value in
   let err ?hints ?needle code fmt =
     Diag.error ?hints ?needle ~code ~phase:Diag.Type fmt
   in
-  let free = Diagres_logic.Fol.free_var_list q.body in
+  let free = F.free_var_list q.body in
   let head_sorted = List.sort_uniq String.compare q.head in
   (if List.length head_sorted <> List.length q.head then
      let dup =
@@ -50,67 +60,69 @@ let typecheck (schemas : (string * Diagres_data.Schema.t) list) (q : query) =
           err "E-DRC-TYPE-004" ~needle:p
             "relation %S used with arity %d, declared %d" p arity
             (Diagres_data.Schema.arity s))
-    (Diagres_logic.Fol.predicate_list q.body)
+    (F.predicate_list q.body);
+  let occurrences = Hashtbl.create 16 in
+  let rec collect = function
+    | F.Pred (p, ts) ->
+      List.iter2
+        (fun t (a : Diagres_data.Schema.attribute) ->
+          match t with
+          | F.Var x -> Hashtbl.add occurrences x a.ty
+          | F.Const _ -> ())
+        ts (List.assoc p schemas)
+    | F.True | F.False | F.Cmp _ -> ()
+    | F.Not f | F.Exists (_, f) | F.Forall (_, f) -> collect f
+    | F.And (a, b) | F.Or (a, b) | F.Implies (a, b) ->
+      collect a;
+      collect b
+  in
+  collect q.body;
+  let term_ty = function
+    | F.Const c -> V.type_of c
+    | F.Var x -> (
+      match Hashtbl.find_all occurrences x with
+      | t :: ts when List.for_all (( = ) t) ts -> t
+      | _ -> V.Tany)
+  in
+  let rec check = function
+    | F.Cmp (op, a, b) ->
+      let ta = term_ty a and tb = term_ty b in
+      if not (V.ty_compatible ta tb) then
+        err "E-DRC-TYPE-005" ~needle:(Fmt.str "%a" F.pp_term b)
+          "cannot compare %a (of type %s) %s %a (of type %s): operand types \
+           are incompatible"
+          F.pp_term a (V.ty_name ta) (F.cmp_name op) F.pp_term b (V.ty_name tb)
+    | F.True | F.False | F.Pred _ -> ()
+    | F.Not f | F.Exists (_, f) | F.Forall (_, f) -> check f
+    | F.And (a, b) | F.Or (a, b) | F.Implies (a, b) ->
+      check a;
+      check b
+  in
+  check q.body
 
-(** Active-domain evaluation.  The body is miniscoped first, which
-    rewrites ∀ and ⇒ into ¬∃ and pushes ¬ through ¬/∧/∨, so a guarded
-    [∀x(G → H)] becomes [¬∃x(G ∧ ¬H)].  Variables are then bound from the
-    atoms that mention them through {!Diagres_logic.Structure.answers}
-    (range restriction with index probes); the active domain is built only
-    if some variable is genuinely unrestricted.  For safe-range queries this
-    agrees with the natural (domain-independent) semantics; for unsafe ones
-    it exhibits exactly the domain dependence the tutorial discusses around
-    Peirce's beta graphs. *)
-let eval (db : Diagres_data.Database.t) (q : query) : Diagres_data.Relation.t =
+(** Naive active-domain evaluation, after {!typecheck} — quantifiers
+    enumerate the universe narrowed only by static column guards.  For
+    safe-range queries this agrees with the natural (domain-independent)
+    semantics; for unsafe ones it exhibits exactly the domain dependence
+    the tutorial discusses around Peirce's beta graphs.  The reference the
+    planned path is differentially tested against. *)
+let eval_naive (db : Diagres_data.Database.t) (q : query) :
+    Diagres_data.Relation.t =
   let module D = Diagres_data in
   let schemas =
     List.map (fun (n, r) -> (n, D.Relation.schema r)) (D.Database.relations db)
   in
   typecheck schemas q;
-  (* miniscoping eliminates ∀/⇒ and keeps the enumeration from exploring
-     quantifier blocks irrelevant to each conjunct *)
-  let body = Diagres_logic.Fol.miniscope q.body in
-  let st = Diagres_logic.Structure.for_formula body db in
-  let rows = Diagres_logic.Structure.answers st ~order:q.head body in
-  if q.head = [] then
-    if Diagres_logic.Structure.eval_sentence st body then
-      D.Relation.of_lists [] [ [] ]
-    else D.Relation.empty []
-  else
-    let ty_of_col i =
-      match rows with
-      | [] -> D.Value.Tint
-      | row :: _ -> D.Value.type_of (List.nth row i)
-    in
-    let schema = List.mapi (fun i x -> D.Schema.attr ~ty:(ty_of_col i) x) q.head in
-    D.Relation.of_lists schema rows
-
-let eval_sentence db body =
-  let body = Diagres_logic.Fol.miniscope body in
-  let st = Diagres_logic.Structure.for_formula body db in
-  Diagres_logic.Structure.eval_sentence st body
-
-(** Naive active-domain evaluation — quantifiers enumerate the universe
-    narrowed only by static column guards.  The reference implementation
-    {!eval} is differentially tested against, and the benchmark baseline. *)
-let eval_naive (db : Diagres_data.Database.t) (q : query) :
-    Diagres_data.Relation.t =
-  let module D = Diagres_data in
   let body = Diagres_logic.Fol.miniscope q.body in
   let st = Diagres_logic.Structure.for_formula body db in
   let rows = Diagres_logic.Structure.answers_naive st ~order:q.head body in
-  if q.head = [] then
-    if Diagres_logic.Structure.eval_sentence_naive st body then
-      D.Relation.of_lists [] [ [] ]
-    else D.Relation.empty []
-  else
-    let ty_of_col i =
-      match rows with
-      | [] -> D.Value.Tint
-      | row :: _ -> D.Value.type_of (List.nth row i)
-    in
-    let schema = List.mapi (fun i x -> D.Schema.attr ~ty:(ty_of_col i) x) q.head in
-    D.Relation.of_lists schema rows
+  let ty_of_col i =
+    match rows with
+    | [] -> D.Value.Tint
+    | row :: _ -> D.Value.type_of (List.nth row i)
+  in
+  let schema = List.mapi (fun i x -> D.Schema.attr ~ty:(ty_of_col i) x) q.head in
+  D.Relation.of_lists schema rows
 
 let eval_sentence_naive db body =
   let body = Diagres_logic.Fol.miniscope body in

@@ -28,13 +28,17 @@
     uncorrelated ∃ and ¬∃ blocks plan like hand-written RA.
 
     The active domain enters only when no conjunct can bind a variable
-    that the remaining ones need — the test {!Diagres_logic.Structure.range}
-    and {!Safety.safe_range} make.  Safe-range queries then never touch it;
-    unsafe ones keep the active-domain reading (Peirce's beta graphs, E4),
-    with the formula's constants in the domain exactly as
-    {!Drc.eval_naive} has them.  Constants enter the algebra as literal
-    relations ({!Diagres_ra.Ast.Values}), which also bind a variable
-    restricted only by [x = c]. *)
+    that the remaining ones need — the test {!Safety.safe_range} makes.
+    Safe-range queries then never touch it; unsafe ones keep the
+    active-domain reading (Peirce's beta graphs, E4), with the formula's
+    constants in the domain exactly as {!Drc.eval_naive} has them.
+    Constants enter the algebra as literal relations
+    ({!Diagres_ra.Ast.Values}), which also bind a variable restricted only
+    by [x = c].
+
+    This is DRC's one evaluator: {!eval} for queries and {!eval_sentence}
+    for Boolean sentences (E4's beta-graph readings, constraint diagrams,
+    the Part 2 principles).  {!Drc.eval_naive} is its oracle. *)
 
 module A = Diagres_ra.Ast
 module F = Diagres_logic.Fol
@@ -403,3 +407,10 @@ let eval db (q : Drc.query) : Diagres_data.Relation.t =
       (Diagres_data.Database.relations db)
   in
   Diagres_ra.Eval.eval_planned db (query schemas q)
+
+(** Truth of a Boolean sentence, planned as the 0-ary query
+    [{ | body }]: true when its answer is the unit relation.  Unsafe
+    sentences (beta graphs whose readings quantify over everything) take the
+    active-domain fallback, as in {!Drc.eval_sentence_naive}. *)
+let eval_sentence db body =
+  not (Diagres_data.Relation.is_empty (eval db { Drc.head = []; body }))

@@ -73,7 +73,7 @@ let test_drinkers_cross_language () =
   let q = Diagres_rc.Trc_parser.parse d2_trc in
   let expected = Diagres_rc.Trc.eval ddb q in
   let drc = Diagres_rc.Translate.trc_to_drc dschemas q in
-  Testutil.check_same_rows "D2 drc" expected (Diagres_rc.Drc.eval ddb drc);
+  Testutil.check_same_rows "D2 drc" expected (Diagres_rc.Drc_to_ra.eval ddb drc);
   let ra = Diagres_rc.Translate.trc_to_ra dschemas q in
   Testutil.check_same_rows "D2 ra" expected (Diagres_ra.Eval.eval ddb ra)
 

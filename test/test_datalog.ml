@@ -137,7 +137,7 @@ let test_unfold_to_drc () =
   let d = Diagres_datalog.To_drc.query schemas p ~goal:"q3" in
   Testutil.check_same_rows "unfolded drc"
     (Testutil.sids D.Sample_db.q3_expected_sids)
-    (Diagres_rc.Drc.eval db d)
+    (Diagres_rc.Drc_to_ra.eval db d)
 
 let test_unfold_safe_range () =
   let p = parse q3_src in
@@ -151,249 +151,54 @@ let test_stats () =
   Alcotest.(check int) "occurrences" 6 occs;
   Alcotest.(check bool) "repeats > 0" true (repeats > 0)
 
-(* ---------------- recursive fixpoint (extension) ---------------- *)
+(* ---------------- naive oracle ---------------- *)
 
-let graph_db =
-  let i n = D.Value.Int n in
-  let schema = D.Schema.make [ ("src", D.Value.Tint); ("dst", D.Value.Tint) ] in
-  D.Database.of_list
-    [ ( "Edge",
-        D.Relation.of_lists schema
-          [ [ i 1; i 2 ]; [ i 2; i 3 ]; [ i 3; i 4 ]; [ i 5; i 6 ] ] ) ]
-
-let tc_src =
-  "path(X, Y) :- Edge(X, Y).\npath(X, Y) :- Edge(X, Z), path(Z, Y)."
-
-let test_fixpoint_transitive_closure () =
-  let r = Diagres_datalog.Fixpoint.query graph_db (parse tc_src) ~goal:"path" in
-  (* 1→2,3,4; 2→3,4; 3→4; 5→6 = 7 pairs *)
-  Alcotest.(check int) "closure size" 7 (D.Relation.cardinality r);
-  Alcotest.(check bool) "1 reaches 4" true
-    (D.Relation.mem (D.Tuple.of_list [ D.Value.Int 1; D.Value.Int 4 ]) r);
-  Alcotest.(check bool) "1 not reaches 6" false
-    (D.Relation.mem (D.Tuple.of_list [ D.Value.Int 1; D.Value.Int 6 ]) r)
-
-let test_fixpoint_stratified_negation () =
-  (* unreachable pairs over the node set, via negation of a recursive
-     predicate in a higher stratum *)
-  let src =
-    tc_src
-    ^ "\nnode(X) :- Edge(X, Y).\nnode(Y) :- Edge(X, Y).\n\
-       unreach(X, Y) :- node(X), node(Y), not path(X, Y)."
-  in
-  let r = Diagres_datalog.Fixpoint.query graph_db (parse src) ~goal:"unreach" in
-  Alcotest.(check bool) "5 cannot reach 1" true
-    (D.Relation.mem (D.Tuple.of_list [ D.Value.Int 5; D.Value.Int 1 ]) r);
-  Alcotest.(check bool) "1 can reach 4" false
-    (D.Relation.mem (D.Tuple.of_list [ D.Value.Int 1; D.Value.Int 4 ]) r)
-
-let test_fixpoint_rejects_unstratified () =
-  let src = "p(X) :- Edge(X, Y), not p(X)." in
-  match Diagres_datalog.Fixpoint.query graph_db (parse src) ~goal:"p" with
-  | exception Diagres_datalog.Fixpoint.Fixpoint_error _ -> ()
-  | _ -> Alcotest.fail "negation through recursion must be rejected"
-
-let test_fixpoint_agrees_on_nonrecursive () =
-  (* on non-recursive programs the fixpoint engine equals the stratified
-     one-pass engine *)
-  let p = parse q3_src in
-  Testutil.check_same_rows "fixpoint = one-pass"
-    (Diagres_datalog.Eval.query db p ~goal:"q3")
-    (Diagres_datalog.Fixpoint.query db p ~goal:"q3")
-
-let chain_db n =
-  let schema = D.Schema.make [ ("src", D.Value.Tint); ("dst", D.Value.Tint) ] in
-  D.Database.of_list
-    [ ( "Edge",
-        D.Relation.of_lists schema
-          (List.init n (fun i -> [ D.Value.Int i; D.Value.Int (i + 1) ])) ) ]
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-let test_fixpoint_max_rounds () =
-  let n = 30 in
-  let gdb = chain_db n in
-  (match
-     Diagres_datalog.Fixpoint.query ~max_rounds:2 gdb (parse tc_src)
-       ~goal:"path"
-   with
-  | exception Diagres_datalog.Fixpoint.Fixpoint_error msg ->
-    Alcotest.(check bool) "error names the predicate" true
-      (contains msg "path")
-  | _ -> Alcotest.fail "expected a divergence error at max_rounds=2");
-  (match
-     Diagres_datalog.Fixpoint.query_naive ~max_rounds:2 gdb (parse tc_src)
-       ~goal:"path"
-   with
-  | exception Diagres_datalog.Fixpoint.Fixpoint_error _ -> ()
-  | _ -> Alcotest.fail "naive engine must honor max_rounds too");
-  (* a sufficient bound converges to the full closure *)
-  let r =
-    Diagres_datalog.Fixpoint.query ~max_rounds:(n + 2) gdb (parse tc_src)
-      ~goal:"path"
-  in
-  Alcotest.(check int) "full closure" (n * (n + 1) / 2)
-    (D.Relation.cardinality r)
-
-(* the headline differential property of this module: the semi-naive engine
-   agrees with the naive reference on recursion + stratified negation over
-   random graphs *)
-let prop_semi_naive_equals_naive =
-  QCheck.Test.make ~name:"semi-naive = naive fixpoint on random graphs"
-    ~count:30 QCheck.small_int
-    (fun seed ->
-      let rand = Random.State.make [| seed |] in
-      let n = 4 + Random.State.int rand 5 in
-      let edges =
-        List.concat_map
-          (fun i ->
-            List.filter_map
-              (fun j ->
-                if i <> j && Random.State.int rand 3 = 0 then Some (i, j)
-                else None)
-              (List.init n Fun.id))
-          (List.init n Fun.id)
-      in
-      let edges = if edges = [] then [ (0, 1) ] else edges in
-      let schema = D.Schema.make [ ("src", D.Value.Tint); ("dst", D.Value.Tint) ] in
-      let gdb =
-        D.Database.of_list
-          [ ( "Edge",
-              D.Relation.of_lists schema
-                (List.map (fun (a, b) -> [ D.Value.Int a; D.Value.Int b ]) edges)
-            ) ]
-      in
-      let src =
-        tc_src
-        ^ "\nnode(X) :- Edge(X, Y).\nnode(Y) :- Edge(X, Y).\n\
-           unreach(X, Y) :- node(X), node(Y), not path(X, Y)."
-      in
-      let p = parse src in
-      List.for_all
-        (fun goal ->
-          D.Relation.same_rows
-            (Diagres_datalog.Fixpoint.query gdb p ~goal)
-            (Diagres_datalog.Fixpoint.query_naive gdb p ~goal))
-        [ "path"; "unreach" ])
-
-(* the parallel delta step: the pooled semi-naive engine at 1, 2, and 4
-   domains agrees with itself at 1 domain and with the naive reference, on
-   recursion + stratified negation over random graphs.  [set_size] swaps
-   the worker pool in and out between counts. *)
-let prop_parallel_fixpoint_deterministic =
-  QCheck.Test.make
-    ~name:"parallel semi-naive = naive at 1/2/4 domains (TC + negation)"
-    ~count:25 QCheck.small_int
-    (fun seed ->
-      let rand = Random.State.make [| seed |] in
-      let n = 4 + Random.State.int rand 5 in
-      let edges =
-        List.concat_map
-          (fun i ->
-            List.filter_map
-              (fun j ->
-                if i <> j && Random.State.int rand 3 = 0 then Some (i, j)
-                else None)
-              (List.init n Fun.id))
-          (List.init n Fun.id)
-      in
-      let edges = if edges = [] then [ (0, 1) ] else edges in
-      let schema = D.Schema.make [ ("src", D.Value.Tint); ("dst", D.Value.Tint) ] in
-      let gdb =
-        D.Database.of_list
-          [ ( "Edge",
-              D.Relation.of_lists schema
-                (List.map (fun (a, b) -> [ D.Value.Int a; D.Value.Int b ]) edges)
-            ) ]
-      in
-      let src =
-        tc_src
-        ^ "\nnode(X) :- Edge(X, Y).\nnode(Y) :- Edge(X, Y).\n\
-           unreach(X, Y) :- node(X), node(Y), not path(X, Y)."
-      in
-      let p = parse src in
-      let module Pool = Diagres_pool.Pool in
-      let old = Pool.size () in
-      Fun.protect ~finally:(fun () -> Pool.set_size old) @@ fun () ->
-      List.for_all
-        (fun goal ->
-          let naive = Diagres_datalog.Fixpoint.query_naive gdb p ~goal in
-          List.for_all
-            (fun domains ->
-              Pool.set_size domains;
-              D.Relation.same_rows naive
-                (Diagres_datalog.Fixpoint.query gdb p ~goal))
-            [ 1; 2; 4 ])
-        [ "path"; "unreach" ])
-
-(* every catalog Datalog program: semi-naive = naive = one-pass engine, on
-   the sample db and on random instances *)
-let test_fixpoint_catalog_differential () =
-  let dbs = db :: Testutil.random_dbs 6 in
+(* The one-pass engine against the naive active-domain reading of its DRC
+   unfolding, on the catalog programs and generated ones, at 1 and 4
+   domains. *)
+let check_eval_vs_naive_drc programs =
+  let module Pool = Diagres_pool.Pool in
+  let dbs = db :: Testutil.random_dbs 3 in
+  let old = Pool.size () in
+  Fun.protect ~finally:(fun () -> Pool.set_size old) @@ fun () ->
   List.iter
-    (fun e ->
-      let p = Diagres.Catalog.parsed_datalog e in
-      let goal = e.Diagres.Catalog.id in
+    (fun (name, goal, p) ->
       List.iteri
         (fun i rdb ->
-          let one_pass = Diagres_datalog.Eval.query rdb p ~goal in
-          Testutil.check_same_rows
-            (Printf.sprintf "%s semi-naive (db %d)" goal i)
-            one_pass
-            (Diagres_datalog.Fixpoint.query rdb p ~goal);
-          Testutil.check_same_rows
-            (Printf.sprintf "%s naive fixpoint (db %d)" goal i)
-            one_pass
-            (Diagres_datalog.Fixpoint.query_naive rdb p ~goal))
+          let rschemas =
+            List.map
+              (fun (n, r) -> (n, D.Relation.schema r))
+              (D.Database.relations rdb)
+          in
+          let expected =
+            Diagres_rc.Drc.eval_naive rdb
+              (Diagres_datalog.To_drc.query rschemas p ~goal)
+          in
+          List.iter
+            (fun n ->
+              Pool.set_size n;
+              Testutil.check_same_rows
+                (Printf.sprintf "%s (db %d, %d domains): %s" name i n
+                   (A.to_string p))
+                expected
+                (Diagres_datalog.Eval.query rdb p ~goal))
+            [ 1; 4 ])
         dbs)
-    Diagres.Catalog.all
+    programs
 
-let prop_fixpoint_closure_correct =
-  QCheck.Test.make ~name:"fixpoint closure = reference reachability"
-    ~count:30 QCheck.small_int
-    (fun seed ->
-      let rand = Random.State.make [| seed |] in
-      let n = 5 + Random.State.int rand 4 in
-      let edges =
-        List.concat_map
-          (fun i ->
-            List.filter_map
-              (fun j ->
-                if i <> j && Random.State.int rand 4 = 0 then Some (i, j)
-                else None)
-              (List.init n Fun.id))
-          (List.init n Fun.id)
-      in
-      let edges = if edges = [] then [ (0, 1) ] else edges in
-      let schema = D.Schema.make [ ("src", D.Value.Tint); ("dst", D.Value.Tint) ] in
-      let gdb =
-        D.Database.of_list
-          [ ( "Edge",
-              D.Relation.of_lists schema
-                (List.map (fun (a, b) -> [ D.Value.Int a; D.Value.Int b ]) edges)
-            ) ]
-      in
-      let r = Diagres_datalog.Fixpoint.query gdb (parse tc_src) ~goal:"path" in
-      (* reference: Floyd-Warshall style boolean closure *)
-      let reach = Array.make_matrix n n false in
-      List.iter (fun (a, b) -> reach.(a).(b) <- true) edges;
-      for k = 0 to n - 1 do
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            if reach.(i).(k) && reach.(k).(j) then reach.(i).(j) <- true
-          done
-        done
-      done;
-      let expected = ref 0 in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if reach.(i).(j) then incr expected
-        done
-      done;
-      D.Relation.cardinality r = !expected)
+let test_catalog_vs_naive_drc () =
+  check_eval_vs_naive_drc
+    (List.map
+       (fun e ->
+         let id = e.Diagres.Catalog.id in
+         (id, id, Diagres.Catalog.parsed_datalog e))
+       Diagres.Catalog.all)
+
+let test_generated_vs_naive_drc () =
+  let st = Random.State.make [| 21 |] in
+  check_eval_vs_naive_drc
+    (List.init 50 (fun i ->
+         (Printf.sprintf "qgen %d" i, "q", Diagres.Qgen.gen_datalog st schemas)))
 
 let () =
   Alcotest.run "datalog"
@@ -422,19 +227,9 @@ let () =
         [ Alcotest.test_case "to drc" `Quick test_unfold_to_drc;
           Alcotest.test_case "safe range" `Quick test_unfold_safe_range;
           Alcotest.test_case "stats" `Quick test_stats ] );
-      ( "fixpoint",
-        [ Alcotest.test_case "transitive closure" `Quick
-            test_fixpoint_transitive_closure;
-          Alcotest.test_case "stratified negation" `Quick
-            test_fixpoint_stratified_negation;
-          Alcotest.test_case "rejects unstratified" `Quick
-            test_fixpoint_rejects_unstratified;
-          Alcotest.test_case "agrees on non-recursive" `Quick
-            test_fixpoint_agrees_on_nonrecursive;
-          Alcotest.test_case "max_rounds" `Quick test_fixpoint_max_rounds;
-          Alcotest.test_case "catalog differential" `Quick
-            test_fixpoint_catalog_differential;
-          Testutil.qtest prop_semi_naive_equals_naive;
-          Testutil.qtest prop_parallel_fixpoint_deterministic;
-          Testutil.qtest prop_fixpoint_closure_correct ] );
+      ( "oracle",
+        [ Alcotest.test_case "catalog = naive DRC" `Quick
+            test_catalog_vs_naive_drc;
+          Alcotest.test_case "generated = naive DRC" `Quick
+            test_generated_vs_naive_drc ] );
     ]

@@ -73,7 +73,7 @@ let prop_venn_fol_agree =
       let d = G.Venn.of_statements [ "P"; "Q"; "R" ] [ st ] in
       let mdb = Testutil.monadic_db seed in
       let via_zones = G.Venn.satisfies d (G.Venn.model_of_db d mdb) in
-      let via_fol = Diagres_rc.Drc.eval_sentence mdb (G.Venn.to_fol d) in
+      let via_fol = Diagres_rc.Drc_to_ra.eval_sentence mdb (G.Venn.to_fol d) in
       via_zones = via_fol)
 
 (* ---------------- Euler ---------------- *)
@@ -166,7 +166,7 @@ let prop_valid_syllogisms_hold_on_dbs =
       let mdb =
         D.Generator.monadic_db ~universe:6 ~preds:[ "S"; "M"; "P" ] seed
       in
-      Diagres_rc.Drc.eval_sentence mdb (G.Syllogism.to_fol m))
+      Diagres_rc.Drc_to_ra.eval_sentence mdb (G.Syllogism.to_fol m))
 
 (* ---------------- Alpha graphs ---------------- *)
 
@@ -243,8 +243,8 @@ let prop_beta_roundtrip =
       match G.Eg_beta.of_drc f with
       | g ->
         let back = G.Eg_beta.to_drc g in
-        Diagres_rc.Drc.eval_sentence mdb f
-        = Diagres_rc.Drc.eval_sentence mdb back
+        Diagres_rc.Drc_to_ra.eval_sentence mdb f
+        = Diagres_rc.Drc_to_ra.eval_sentence mdb back
       | exception G.Eg_beta.Unsupported _ -> true)
 
 let test_beta_scope_distinction () =
@@ -268,9 +268,9 @@ let test_beta_scope_distinction () =
         ("Q", D.Relation.of_lists s [ [ D.Value.Int 2 ] ]) ]
   in
   Alcotest.(check bool) "¬∃x P(x) false here" false
-    (Diagres_rc.Drc.eval_sentence mdb fin);
+    (Diagres_rc.Drc_to_ra.eval_sentence mdb fin);
   Alcotest.(check bool) "∃x ¬P(x) true here" true
-    (Diagres_rc.Drc.eval_sentence mdb fout);
+    (Diagres_rc.Drc_to_ra.eval_sentence mdb fout);
   Alcotest.(check int) "crossing ligature detected" 1
     (List.length (G.Eg_beta.crossing_ligatures outside));
   Alcotest.(check int) "no crossing in pure-inside graph" 0
@@ -289,8 +289,8 @@ let prop_beta_no_crossing_unambiguous =
         G.Eg_beta.crossing_ligatures g <> []
         ||
         let mdb = Testutil.monadic_db seed in
-        Diagres_rc.Drc.eval_sentence mdb (G.Eg_beta.to_drc g)
-        = Diagres_rc.Drc.eval_sentence mdb (G.Eg_beta.to_drc_innermost g)
+        Diagres_rc.Drc_to_ra.eval_sentence mdb (G.Eg_beta.to_drc g)
+        = Diagres_rc.Drc_to_ra.eval_sentence mdb (G.Eg_beta.to_drc_innermost g)
       | exception G.Eg_beta.Unsupported _ -> true)
 
 let test_beta_disconnected_rejected () =
@@ -327,8 +327,8 @@ let test_string_diagram_roundtrip () =
   Alcotest.(check int) "one open wire" 1 (G.String_diagram.open_wire_count sd);
   let back = G.String_diagram.to_drc_query sd in
   Testutil.check_same_rows "string diagram roundtrip"
-    (Diagres_rc.Drc.eval db q)
-    (Diagres_rc.Drc.eval db back)
+    (Diagres_rc.Drc_to_ra.eval db q)
+    (Diagres_rc.Drc_to_ra.eval db back)
 
 let test_string_diagram_bound_wires () =
   let q =
@@ -543,14 +543,14 @@ let test_constraint_shading_fol () =
         ("Q", D.Relation.of_lists s [ [ D.Value.Int 1 ]; [ D.Value.Int 2 ] ]) ]
   in
   Alcotest.(check bool) "P⊆Q satisfies" true
-    (Diagres_rc.Drc.eval_sentence subdb f);
+    (Diagres_rc.Drc_to_ra.eval_sentence subdb f);
   let baddb =
     Diagres_data.Database.of_list
       [ ("P", D.Relation.of_lists s [ [ D.Value.Int 3 ] ]);
         ("Q", D.Relation.of_lists s [ [ D.Value.Int 1 ] ]) ]
   in
   Alcotest.(check bool) "P⊄Q violates" false
-    (Diagres_rc.Drc.eval_sentence baddb f)
+    (Diagres_rc.Drc_to_ra.eval_sentence baddb f)
 
 let test_constraint_spiders () =
   let d = G.Constraint_diagram.create [ "P"; "Q" ] in
@@ -563,14 +563,14 @@ let test_constraint_spiders () =
         ("Q", D.Relation.of_lists s [ [ D.Value.Int 1 ] ]) ]
   in
   Alcotest.(check bool) "∃ element in P∩Q" true
-    (Diagres_rc.Drc.eval_sentence db1 f);
+    (Diagres_rc.Drc_to_ra.eval_sentence db1 f);
   let db2 =
     Diagres_data.Database.of_list
       [ ("P", D.Relation.of_lists s [ [ D.Value.Int 1 ] ]);
         ("Q", D.Relation.of_lists s [ [ D.Value.Int 2 ] ]) ]
   in
   Alcotest.(check bool) "empty P∩Q fails" false
-    (Diagres_rc.Drc.eval_sentence db2 f)
+    (Diagres_rc.Drc_to_ra.eval_sentence db2 f)
 
 let test_constraint_reading_ambiguity () =
   (* ∀x∈P ∃y∈Q R(x,y) vs ∃y∈Q ∀x∈P R(x,y): classic order dependence *)
@@ -617,8 +617,8 @@ let prop_begriffsschrift_roundtrip =
       let mdb = Testutil.monadic_db seed in
       match G.Begriffsschrift.of_fol f with
       | b ->
-        Diagres_rc.Drc.eval_sentence mdb f
-        = Diagres_rc.Drc.eval_sentence mdb (G.Begriffsschrift.to_fol b)
+        Diagres_rc.Drc_to_ra.eval_sentence mdb f
+        = Diagres_rc.Drc_to_ra.eval_sentence mdb (G.Begriffsschrift.to_fol b)
       | exception G.Begriffsschrift.Unsupported _ -> true)
 
 let test_begriffsschrift_shape () =

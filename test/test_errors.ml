@@ -345,6 +345,37 @@ let test_constant_false_bodies () =
   boolean "{ | 1 = 1 }" 1;
   boolean "{ | 1 = 2 }" 0
 
+(* A comparison whose operand types cannot mix is a Type-phase error on
+   every DRC entry point, the naive oracle included; a numeric Int-vs-Float
+   comparison is not. *)
+let test_drc_comparison_typing () =
+  let module V = Diagres.Views in
+  let src = "{ x | exists n, r, a (Sailor(x, n, r, a) & n > 5) }" in
+  let q = Diagres_rc.Drc_parser.parse src in
+  List.iter
+    (fun (what, f) ->
+      match Diagres.Errors.capture_all f with
+      | Ok () -> Alcotest.failf "%s accepted %s" what src
+      | Error d ->
+        Alcotest.(check string) (what ^ ": code") "E-DRC-TYPE-005" d.Diag.code;
+        Alcotest.(check int) (what ^ ": exit code") 3 (Diag.exit_code d))
+    [ ("Languages.eval", fun () -> ignore (L.eval db (L.Q_drc q)));
+      ( "Languages.to_ra",
+        fun () -> ignore (L.to_ra D.Sample_db.schemas (L.Q_drc q)) );
+      ( "Views.register",
+        fun () ->
+          ignore (V.register (V.create db) ~name:"v" ~lang:L.Drc ~source:src) );
+      ("Drc.eval_naive", fun () -> ignore (Diagres_rc.Drc.eval_naive db q)) ];
+  let numeric =
+    Diagres_rc.Drc_parser.parse
+      "{ x | exists n, r, a (Sailor(x, n, r, a) & a > 40) }"
+  in
+  let expected = Diagres_rc.Drc.eval_naive db numeric in
+  Alcotest.(check bool) "int-vs-float answers" false
+    (D.Relation.is_empty expected);
+  Testutil.check_same_rows "int-vs-float planned = naive" expected
+    (L.eval db (L.Q_drc numeric))
+
 let test_suggestions () =
   Alcotest.(check (option string))
     "suggest Sailor"
@@ -377,7 +408,9 @@ let () =
           Alcotest.test_case "csv errors" `Quick test_csv_errors;
           Alcotest.test_case "cli errors" `Quick test_cli_errors;
           Alcotest.test_case "constant-false bodies" `Quick
-            test_constant_false_bodies ] );
+            test_constant_false_bodies;
+          Alcotest.test_case "drc comparison typing" `Quick
+            test_drc_comparison_typing ] );
       ( "contract",
         [ Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "catch-all net" `Quick test_capture_all;

@@ -308,28 +308,6 @@ let test_plan_cache_counters () =
     (1, 1)
     (Diagres_ra.Plan_cache.stats ())
 
-let test_datalog_round_counter () =
-  let before = T.counter_named "datalog.rounds" in
-  let chain =
-    let schema =
-      [ D.Schema.attr ~ty:D.Value.Tint "src";
-        D.Schema.attr ~ty:D.Value.Tint "dst" ]
-    in
-    D.Database.of_list
-      [ ( "Edge",
-          D.Relation.of_lists schema
-            (List.init 10 (fun i -> [ D.Value.Int i; D.Value.Int (i + 1) ])) )
-      ]
-  in
-  let p =
-    Diagres_datalog.Parser.parse
-      "path(X, Y) :- Edge(X, Y).\npath(X, Y) :- Edge(X, Z), path(Z, Y)."
-  in
-  let r = Diagres_datalog.Fixpoint.query chain p ~goal:"path" in
-  Alcotest.(check int) "all paths of the 10-chain" 55 (D.Relation.cardinality r);
-  Alcotest.(check bool) "fixpoint rounds counted" true
-    (T.counter_named "datalog.rounds" - before >= 10)
-
 (* ---------------- differential: instrumented = uninstrumented -------- *)
 
 (* A database big enough that operators cross the vectorized and
@@ -839,8 +817,6 @@ let () =
           Alcotest.test_case "gauges" `Quick test_gauges;
           Alcotest.test_case "plan-cache counters" `Quick
             test_plan_cache_counters;
-          Alcotest.test_case "datalog round counter" `Quick
-            test_datalog_round_counter;
           Alcotest.test_case "pool counters" `Quick test_pool_counters ] );
       ( "memory",
         [ Alcotest.test_case "estimated heap bytes" `Quick test_memory_bytes ]
