@@ -219,11 +219,9 @@ let write_json ~quick ~huge ~domains path =
   output_string oc "{\n";
   Printf.fprintf oc "\"schema_version\": %d,\n" snapshot_schema_version;
   Printf.fprintf oc
-    "\"mode\": {\"quick\": %b, \"huge\": %b, \"domains\": \"%s\", \
-     \"columnar\": %b},\n"
+    "\"mode\": {\"quick\": %b, \"huge\": %b, \"domains\": \"%s\"},\n"
     quick huge
-    (String.concat "," (List.map string_of_int domains))
-    !Diagres_ra.Plan.columnar_enabled;
+    (String.concat "," (List.map string_of_int domains));
   output_string oc "\"measurements\": [\n";
   let last = List.length rows - 1 in
   List.iteri
@@ -236,9 +234,8 @@ let write_json ~quick ~huge ~domains path =
     rows;
   output_string oc "],\n\"columnar\": ";
   Printf.fprintf oc
-    "{\"enabled\": %b, \"batches\": %d, \"rows\": %d, \
-     \"fallback_row_mode\": %d, \"dict_hit\": %d, \"dict_miss\": %d},\n"
-    !Diagres_ra.Plan.columnar_enabled
+    "{\"batches\": %d, \"rows\": %d, \"fallback_row_mode\": %d, \
+     \"dict_hit\": %d, \"dict_miss\": %d},\n"
     (T.counter_named "columnar.batches")
     (T.counter_named "columnar.rows")
     (T.counter_named "columnar.fallback_row_mode")
@@ -678,7 +675,7 @@ module Pool = Diagres_pool.Pool
    relation-level index caches first so every domain count probes the
    same read-only structures. *)
 let e12_parallel_table ~quick ~domains () =
-  hr "E12  morsel-parallel execution: domain sweep (wall-clock)";
+  hr "E12  pooled vectorized batches: domain sweep (wall-clock)";
   let theta =
     Diagres_ra.Parser.parse
       "project[sid2](select[sid = sid2 and rating = 10](Sailor * rename[sid \
@@ -800,8 +797,9 @@ let e12_plan_cache_table ~quick () =
      touches the data)\n"
 
 (* ------------------------------------------------------------------ *)
-(* E13: the columnar substrate.  The same physical plan executed twice —
-   row-at-a-time (columnar disabled) vs vectorized over column batches —
+(* E13: the columnar substrate.  The same operators executed twice —
+   row-at-a-time (planned at [vec_threshold = max_int], so no node is
+   vectorized) vs vectorized over column batches —
    on a selective filter and a key join, from 10k up to 1M sailors.  The
    ns/row columns are the point: the vectorized per-row cost stays flat
    as the input grows, so the speedup holds at scale.  The one-time
@@ -821,7 +819,8 @@ let columnar_db n =
   Diagres_data.Generator.sailors_db_columnar ~n_sailors:n (n + 7)
 
 let e13_table ~quick ~huge () =
-  hr "E13  columnar vs row execution (same plan, kernels toggled)";
+  hr "E13  columnar vs row execution (same operators, kernels chosen at \
+      plan time)";
   let queries =
     [ ("filter", "select[rating > 7](Sailor)");
       ("join", "project[sname](Sailor join Reserves)");
@@ -833,7 +832,6 @@ let e13_table ~quick ~huge () =
     else if huge then [ 10_000; 100_000; 1_000_000; 10_000_000 ]
     else [ 10_000; 100_000; 1_000_000 ]
   in
-  let old_col = !Diagres_ra.Plan.columnar_enabled in
   (* at 10M+ rows the full 5-warm-up protocol would cost many minutes per
      cell, but a true single shot times the allocator, not the kernels:
      the first run's output buffers are freshly mapped pages (see the
@@ -852,27 +850,33 @@ let e13_table ~quick ~huge () =
       let rdb = columnar_db n in
       Gc.compact ();
       let ntup = Diagres_data.Database.total_tuples rdb in
-      let plans =
-        List.map
-          (fun (qname, src) ->
-            (qname, Diagres_ra.Planner.plan rdb (Diagres_ra.Parser.parse src)))
-          queries
+      let plan_of src =
+        Diagres_ra.Planner.plan rdb (Diagres_ra.Parser.parse src)
+      in
+      (* the row plan: at [vec_threshold = max_int] the planner marks no
+         node vectorized, so the same operators run the row kernels *)
+      let row_plan src =
+        let old_vec = !Diagres_ra.Plan.vec_threshold in
+        Diagres_ra.Plan.vec_threshold := max_int;
+        Fun.protect
+          ~finally:(fun () -> Diagres_ra.Plan.vec_threshold := old_vec)
+          (fun () -> plan_of src)
       in
       (* vectorized first, while only the columns are live; the row pass
          afterwards materializes boxed tuples on demand (memoized, so its
          warm-up pays the decode once, outside the timed region) *)
-      Diagres_ra.Plan.columnar_enabled := true;
       let col_times =
         List.map
-          (fun (qname, plan) ->
+          (fun (qname, src) ->
+            let plan = plan_of src in
             let warm = Diagres_ra.Plan.run plan in
             let t_col, r = sample n (fun () -> Diagres_ra.Plan.run plan) in
-            (qname, plan, warm, r, t_col))
-          plans
+            (qname, src, warm, r, t_col))
+          queries
       in
-      Diagres_ra.Plan.columnar_enabled := false;
       List.iter
-        (fun (qname, plan, warm, rcol, t_col) ->
+        (fun (qname, src, warm, rcol, t_col) ->
+          let plan = row_plan src in
           let reference = Diagres_ra.Plan.run plan in
           let t_row, _ = sample n (fun () -> Diagres_ra.Plan.run plan) in
           let agree =
@@ -891,13 +895,13 @@ let e13_table ~quick ~huge () =
             (t_row /. float_of_int ntup *. 1e9)
             (t_col /. float_of_int ntup *. 1e9)
             agree)
-        col_times;
-      Diagres_ra.Plan.columnar_enabled := old_col)
+        col_times)
     sizes;
   Printf.printf
-    "(same physical plan both times — only the execution kernels differ; \
-     both modes run warm: columns converted and boxed tuples decoded \
-     before timing, the repeated-query steady state)\n"
+    "(same operators both times — the row plan is built at vec_threshold \
+     = max_int, so only the execution kernels differ; both modes run \
+     warm: columns converted and boxed tuples decoded before timing, the \
+     repeated-query steady state)\n"
 
 (* E14: incremental view maintenance.  A registered join view under an
    update stream: per round, 1% of Reserves is deleted and a like number

@@ -182,7 +182,7 @@ let eval_cmd =
        physical plan annotated with actual per-operator wall-clock times, \
        row counts next to the planner's estimates (nodes whose estimate \
        is off by more than 10x are flagged), hash-join build/probe split, \
-       morsel counts, and a per-phase timing summary."
+       vectorized batch counts, and a per-phase timing summary."
     in
     Arg.(value & flag & info [ "analyze" ] ~doc)
   in

@@ -167,8 +167,9 @@ let parsed_datalog e = Diagres_datalog.Parser.parse e.datalog
     relations (columns may be named differently — compare with
     {!Diagres_data.Relation.same_rows}). *)
 let eval_all db (e : entry) : (string * Diagres_data.Relation.t) list =
-  [ ("sql", Diagres_sql.To_ra.eval db (parsed_sql e));
-    ("ra", Diagres_ra.Eval.eval_planned db (parsed_ra e));
-    ("trc", Diagres_rc.Trc.eval db (parsed_trc e));
-    ("drc", Diagres_rc.Drc_to_ra.eval db (parsed_drc e));
-    ("datalog", Diagres_datalog.Eval.query db (parsed_datalog e) ~goal:e.id) ]
+  List.map
+    (fun (lang, text) ->
+      ( String.lowercase_ascii (Languages.name lang),
+        Languages.eval db (Languages.parse lang text) ))
+    Languages.[ (Sql, e.sql); (Ra, e.ra); (Trc, e.trc); (Drc, e.drc);
+                (Datalog, e.datalog) ]

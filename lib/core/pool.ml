@@ -3,9 +3,9 @@
     OCaml 5 gives shared-memory parallelism through [Domain], but spawning
     a domain costs tens of microseconds and the runtime caps the useful
     count at the core count — exactly the situation a worker pool exists
-    for.  This module owns that pool for the whole library: the morsel-
-    parallel physical operators ({!Diagres_ra.Plan}) and anything else
-    that wants [parallel_map_chunks]/[parallel_fold] over tuple arrays.
+    for.  This module owns that pool for the whole library; its one
+    primitive, {!run_all}, runs the vectorized kernels' batches
+    ({!Diagres_ra.Plan.vec_batches}), the only work that runs on it.
 
     Design points:
 
@@ -18,23 +18,22 @@
       and by {!set_size} (the [qviz --domains N] flag) at run time;
     - {b helping scheduler} — [run_all] pushes its tasks on a shared queue
       ([Mutex] + [Condition]) and then {e helps drain the queue} instead of
-      blocking, so nested parallel calls (a parallel operator inside a task)
-      cannot deadlock the pool;
+      blocking, so the submitting domain works while it waits;
     - {b exceptions propagate} — each task records [Ok]/[Error]; after the
       batch completes the first failure is re-raised in the submitter, and
       one task failing never prevents the others from completing.
 
-    Determinism is the callers' contract: both primitives return per-chunk
-    results in chunk order, so a deterministic merge gives results
-    independent of the domain count (property-tested against the
-    sequential engines at 1, 2, and N domains). *)
+    Determinism is the callers' contract: [run_all] returns results in task
+    order, so a deterministic merge gives results independent of the
+    domain count (property-tested against the sequential engines at 1, 2,
+    and N domains). *)
 
 module T = Diagres_telemetry.Telemetry
 
 (* ---------------- pool telemetry ----------------
 
    Utilization counters, always on (one atomic add per *task*, i.e. per
-   morsel, which is noise next to the morsel's work):
+   batch, which is noise next to the batch's work):
 
    - [pool.tasks.queued]   tasks pushed on the shared queue
    - [pool.tasks.executed] tasks run by a worker domain
@@ -220,9 +219,10 @@ let run_all (thunks : (unit -> 'a) array) : 'a array =
     done;
     Condition.broadcast p.nonempty;
     Mutex.unlock p.mutex;
-    (* help: drain tasks (ours or a nested batch's) until our batch is done.
-       Spinning only happens in the rare window where every remaining task
-       of the batch is mid-flight on another domain. *)
+    (* help: drain queued tasks (ours or another submitter's) until our
+       batch is done.  Spinning only happens in the rare window where
+       every remaining task of the batch is mid-flight on another
+       domain. *)
     while Atomic.get remaining > 0 do
       Mutex.lock p.mutex;
       let task = Queue.take_opt p.queue in
@@ -236,41 +236,3 @@ let run_all (thunks : (unit -> 'a) array) : 'a array =
     done;
     collect_slots slots
   end
-
-(* ---------------- array primitives ---------------- *)
-
-let default_chunk = 1024
-
-let chunk_bounds ~chunk len =
-  let nchunks = (len + chunk - 1) / chunk in
-  Array.init nchunks (fun i ->
-      let lo = i * chunk in
-      (lo, min chunk (len - lo)))
-
-(** [parallel_map_chunks ~chunk f arr] splits [arr] into morsels of at most
-    [chunk] elements, applies [f] to each sub-array across the pool, and
-    returns the per-morsel results {e in morsel order} — the deterministic
-    merge point for the parallel operators. *)
-let parallel_map_chunks ?(chunk = default_chunk) (f : 'a array -> 'b)
-    (arr : 'a array) : 'b array =
-  if chunk < 1 then invalid_arg "Pool.parallel_map_chunks: chunk must be >= 1";
-  let len = Array.length arr in
-  if len = 0 then [||]
-  else
-    run_all
-      (Array.map
-         (fun (lo, n) () -> f (Array.sub arr lo n))
-         (chunk_bounds ~chunk len))
-
-(** [parallel_fold ~chunk ~map ~merge ~init arr]: map every morsel in
-    parallel, then merge the per-morsel results {e sequentially, in morsel
-    order} — associative [merge] therefore gives the same answer at every
-    domain count. *)
-let parallel_fold ?(chunk = default_chunk) ~(map : 'a array -> 'b)
-    ~(merge : 'b -> 'b -> 'b) ~(init : 'b) (arr : 'a array) : 'b =
-  Array.fold_left merge init (parallel_map_chunks ~chunk map arr)
-
-(** [parallel_list_map f xs]: whole-element parallelism for short lists of
-    expensive tasks (one task per element). *)
-let parallel_list_map (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  Array.to_list (run_all (Array.map (fun x () -> f x) (Array.of_list xs)))

@@ -19,7 +19,7 @@
       interned slot, no allocation.
     - {b safe under the domain pool} — span events are appended to
       {e per-domain} buffers (a [Domain.DLS] slot registered in a global
-      list on first use), so parallel morsels never interleave or race;
+      list on first use), so parallel batches never interleave or race;
       buffers are merged only by the read-side sinks.  Because execution
       within one domain is sequential, each buffer is a well-nested
       begin/end sequence in timestamp order — exactly what the Chrome

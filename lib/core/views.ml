@@ -139,7 +139,7 @@ let refresh_memory_gauges ?(views : view list = []) (db : D.Database.t) :
   T.set_gauge g_relations rel;
   T.set_gauge g_index_cache idx;
   T.set_gauge g_stats_cache st;
-  T.set_gauge g_plan_entries (Ra.Plan_cache.entries ());
+  T.set_gauge g_plan_entries (Ra.Plan_cache.length ());
   T.set_gauge g_delta_state
     (List.fold_left (fun acc v -> acc + Ra.Delta.memory_bytes v.delta) 0 views);
   T.sample_all_gauges ()

@@ -11,16 +11,18 @@
     The per-relation cache carries the {e stamp} of the relation it was
     created for and a mutex: lookups validate the owner (a cache that was
     copied onto a different tuple set is refused rather than served stale),
-    and the lock makes the lazy build safe to race from several domains —
-    the parallel operators probe indexes concurrently, and whichever domain
-    gets there first builds while the others wait. *)
+    and the lock makes the lazy build safe for callers on several domains
+    — concurrent runs of one cached plan, views maintained from different
+    domains — that probe one relation at once: whichever domain gets there
+    first builds while the others wait. *)
 
 module T = Diagres_telemetry.Telemetry
 
-(* Cache utilization, per cache_get (i.e. per join-side preparation, not
-   per probe): hit = index served from the per-relation cache, miss =
-   built and cached, bypass = built unmemoized because the cache belongs
-   to a different tuple set. *)
+(* Cache utilization, per cache_get — and {!Relation.matching} calls it on
+   every probe, so these count probes, not join-side preparations: hit =
+   index served from the per-relation cache, miss = built and cached,
+   bypass = built unmemoized because the cache belongs to a different
+   tuple set. *)
 let c_hit = T.counter "index.cache.hit"
 let c_miss = T.counter "index.cache.miss"
 let c_bypass = T.counter "index.cache.bypass"

@@ -11,8 +11,8 @@
       the functional operators run on;
     - [batch]: a {e canonical} {!Batch.t} (columns sorted in [Tuple.compare]
       order) — what the vectorized physical operators run on;
-    - [arr]: the tuples as a sorted array — what the morsel-parallel row
-      operators chunk over.
+    - [arr]: the tuples as a sorted array — what the nested-loop join walks
+      its outer input over.
 
     Any representation can be derived from any other, so a relation born
     columnar (from a vectorized operator, via {!of_batch}) never pays for
@@ -54,8 +54,8 @@ type t = {
    a rebuilt relation stored under an old name can never alias its
    predecessor's caches — while schema-only transformations (rename) keep
    the stamp: the tuple set is the same and the caches are positional.
-   Atomic, because parallel operators construct relations from worker
-   domains. *)
+   Atomic, because relations are constructed on several domains at once
+   (concurrent runs, pool tasks). *)
 let stamp_counter = Atomic.make 0
 
 let fresh schema rows =
@@ -141,9 +141,8 @@ let force_tset r =
   | Some ts -> ts
   | None -> with_lock r.rows (fun () -> tset_locked r.rows)
 
-(** Tuples in sorted order, as an array — the input the morsel-parallel
-    operators chunk over.  Memoized per relation; callers must treat it as
-    read-only. *)
+(** Tuples in sorted order, as an array — the nested-loop join's outer
+    input.  Memoized per relation; callers must treat it as read-only. *)
 let tuples_array r =
   match r.rows.arr with
   | Some a -> a
@@ -255,9 +254,8 @@ let index r (positions : int list) : Index.t =
   Index.cache_get r.indexes ~owner:r.stamp positions (fun () ->
       Index.build (Array.of_list positions) (fun f -> iter f r))
 
-(** Force the index on [positions] to exist — called once before a parallel
-    probe phase so the workers race on a read-only structure, never on the
-    lazy build. *)
+(** Force the index on [positions] to exist — the row hash join calls it
+    before probing, so that build and probe time can be measured apart. *)
 let prepare_index r positions = ignore (index r positions : Index.t)
 
 (** [matching r positions key]: tuples whose values at [positions] equal

@@ -27,8 +27,8 @@ val is_empty : t -> bool
 (** Tuples in sorted order. *)
 val tuples : t -> Tuple.t list
 
-(** Tuples in sorted order, as an array — what the morsel-parallel physical
-    operators chunk over.  Memoized per relation (repeated probes in one
+(** Tuples in sorted order, as an array — what the nested-loop join walks
+    its outer input over.  Memoized per relation (repeated uses in one
     evaluation share the materialization); callers must treat the array as
     read-only. *)
 val tuples_array : t -> Tuple.t array
@@ -127,8 +127,9 @@ val division : t -> t -> t
     calculus evaluation. *)
 val matching : t -> int list -> Value.t array -> Tuple.t list
 
-(** Build (and cache) the index on [positions] now, so that a following
-    parallel probe phase races only on a read-only structure. *)
+(** Build (and cache) the index on [positions] now — the row hash join
+    calls it before probing, so that build and probe time can be measured
+    apart. *)
 val prepare_index : t -> int list -> unit
 
 (** Cardinality and per-column distinct counts ({!Stats}), computed lazily

@@ -1,5 +1,5 @@
 (** Static checks: arity consistency, safety (range restriction), absence of
-    recursion, and stratification of negation.
+    recursion, comparison typing, and stratification of negation.
 
     For non-recursive programs every stratification exists trivially; we
     still compute strata (the maximum number of negations on any dependency
@@ -166,10 +166,82 @@ let eval_order (p : Ast.program) : string list =
   List.iter visit idb;
   !visited
 
+(** Comparison typing, as {!Diagres_rc.Drc.typecheck} does for DRC: a
+    variable takes the column type of the EDB positions it occupies and,
+    for IDB positions, the type the predicate's rule heads give that
+    column; it is [Tany] when there is none or they disagree.  A condition
+    whose operand types fail {!Diagres_data.Value.ty_compatible} raises
+    [E-DLG-TYPE-001].  IDB columns are typed on demand, dependencies
+    first, so this must run after the arity and recursion checks. *)
+let check_types schemas (p : Ast.program) =
+  let module V = Diagres_data.Value in
+  let agreed = function
+    | t :: ts when List.for_all (( = ) t) ts -> t
+    | _ -> V.Tany
+  in
+  let idb = ref [] (* IDB column types computed so far *) in
+  let rec column_types pred =
+    match List.assoc_opt pred !idb with
+    | Some tys -> tys
+    | None -> (
+      match Ast.rules_for p pred with
+      | [] ->
+        List.map
+          (fun (a : Diagres_data.Schema.attribute) -> a.ty)
+          (List.assoc pred schemas)
+      | r :: _ as rules ->
+        let heads =
+          List.map (fun r -> List.map (term_ty r) r.Ast.head.Ast.args) rules
+        in
+        let tys =
+          List.mapi
+            (fun i _ -> agreed (List.map (fun h -> List.nth h i) heads))
+            r.Ast.head.Ast.args
+        in
+        idb := (pred, tys) :: !idb;
+        tys)
+  and term_ty (r : Ast.rule) = function
+    | Ast.Const c -> V.type_of c
+    | Ast.Var x ->
+      agreed
+        (List.concat_map
+           (function
+             | Ast.Pos a | Ast.Neg a ->
+               List.concat
+                 (List.map2
+                    (fun t ty ->
+                      if t = Ast.Var x && ty <> V.Tany then [ ty ] else [])
+                    a.Ast.args (column_types a.Ast.pred))
+             | Ast.Cond _ -> [])
+           r.Ast.body)
+  in
+  List.iter
+    (fun (r : Ast.rule) ->
+      List.iter
+        (function
+          | Ast.Cond (op, x, y) ->
+            let tx = term_ty r x and ty = term_ty r y in
+            if not (V.ty_compatible tx ty) then
+              let needle =
+                match (x, y) with
+                | Ast.Var v, _ | _, Ast.Var v -> v
+                | _ -> Ast.term_to_string y
+              in
+              Diag.error ~code:"E-DLG-TYPE-001" ~phase:Diag.Type ~needle
+                "cannot compare %s (of type %s) %s %s (of type %s): operand \
+                 types are incompatible"
+                (Ast.term_to_string x) (V.ty_name tx)
+                (Diagres_logic.Fol.cmp_name op)
+                (Ast.term_to_string y) (V.ty_name ty)
+          | Ast.Pos _ | Ast.Neg _ -> ())
+        r.Ast.body)
+    p
+
 (** Run all checks; returns the arity table. *)
 let check_program schemas (p : Ast.program) =
   if p = [] then err "E-DLG-CHECK-005" "empty program";
   let arities = check_arities schemas p in
   check_safety p;
   check_nonrecursive p;
+  check_types schemas p;
   arities

@@ -183,18 +183,16 @@ let scan_of (r : R.t) : Plan.t =
     (float_of_int (R.cardinality r))
     (unit_dist (R.schema r))
 
-(* σp over a delta; a delta that clears the vectorized threshold runs the
-   columnar selection kernels unchanged (delta batches are ordinary
-   canonical batches). *)
+(* σp over a delta; a filter the planner would vectorize
+   ({!Plan.vectorizable}) runs the columnar selection kernels unchanged
+   (delta batches are ordinary canonical batches). *)
 let run_filter (schema : D.Schema.t) (p : Plan.pred) (rel : R.t) : R.t =
   if R.is_empty rel then rel
-  else if !Plan.columnar_enabled && R.cardinality rel >= !Plan.vec_threshold
-  then
-    Plan.run
-      (Plan.mk ~vec:true
-         (Plan.Filter (p, scan_of rel))
-         schema 0. (unit_dist schema))
-  else R.filter p.Plan.holds rel
+  else
+    let op = Plan.Filter (p, scan_of rel) in
+    if Plan.vectorizable op then
+      Plan.run (Plan.mk ~vec:true op schema 0. (unit_dist schema))
+    else R.filter p.Plan.holds rel
 
 (* ΔL ⋈ R (probe the delta on the left, build — or reuse the cached
    per-relation index — on the right). *)

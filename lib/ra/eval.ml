@@ -76,7 +76,7 @@ let rec eval db (e : Ast.t) : D.Relation.t =
 (** Evaluate through the cost-based physical planner ({!Planner}): logical
     rewrites, hash equi-joins over the cached indexes, greedy join
     ordering, compiled predicates, memoized shared subtrees, and — above
-    the morsel threshold — parallel physical operators over the domain
+    {!Plan.par_threshold} rows — vectorized batches run across the domain
     pool.  The plan itself is served from the LRU {!Plan_cache} (keyed on
     the canonicalized AST and the database stamp), so a repeated query
     skips optimize + plan entirely; plans are immutable and each

@@ -23,21 +23,20 @@
     telemetry, time and allocation.  {!run_profiled} returns the profile
     beside the result; {!explain}/{!analyze} render a plan against one.
 
-    Each operator has one execution path per storage form.  Nodes the
-    planner builds vectorized ({!vectorizable}: estimated input at or
-    above {!vec_threshold} rows) run the columnar kernels, which are
-    {b morsel-parallel} over the shared domain pool
-    ({!Diagres_pool.Pool}): inputs above {!par_threshold} rows are split
-    into batches evaluated across the pool ({!vec_batches}).  Other
-    nodes run one sequential row path at any pool size — small inputs
-    gain nothing from the pool, and the sequential hash join keeps using
-    the build side's cached per-relation index.  The nested-loop join,
-    which has no vectorized form, is the one row operator with a parallel
-    path; it merges its per-chunk results through {!D.Relation.of_tuples},
-    whose sorted-set construction restores the [Relation.tuples] ordering
-    contract, so every result is {e identical} at any domain count
-    (property-tested).  Only the calling domain walks the plan; pool
-    workers run kernel batches and never touch the profile. *)
+    Each operator has one execution path per storage form, and the
+    planner alone picks it: nodes it builds vectorized ({!vectorizable}:
+    estimated input at or above {!vec_threshold} rows) run the columnar
+    kernels, every other node runs one sequential row path.  The
+    vectorized batches are the only work that runs on the shared domain
+    pool ({!Diagres_pool.Pool}): inputs above {!par_threshold} rows are
+    split into batches evaluated across the pool ({!vec_batches}), whose
+    results are merged in batch order, so every result is {e identical}
+    at any domain count (property-tested).  Row operators — the
+    nested-loop join included — run on the calling domain at any pool
+    size: small inputs gain nothing from the pool, and the sequential
+    hash join keeps using the build side's cached per-relation index.
+    Only the calling domain walks the plan; pool workers run kernel
+    batches and never touch the profile. *)
 
 module D = Diagres_data
 module Pool = Diagres_pool.Pool
@@ -55,8 +54,8 @@ type t = {
   est : float;                          (** estimated output rows *)
   est_distinct : float array;           (** estimated distinct per column *)
   vec : bool;
-      (** take the vectorized (columnar) execution path when
-          {!columnar_enabled}; the planner decides by {!vectorizable} *)
+      (** take the vectorized (columnar) execution path; the planner
+          decides by {!vectorizable} *)
 }
 
 and op =
@@ -110,41 +109,19 @@ let rec compile schema = function
 let compile_pred schema p : pred =
   { display = Pretty.pred_to_string p; holds = compile schema p; ast = p }
 
-(* ---------------- parallel execution helpers ---------------- *)
+(* ---------------- execution knobs ---------------- *)
 
-(** Minimum input cardinality before an operator takes its parallel path.
-    Mutable so the differential tests can force the parallel operators on
-    tiny relations; the default keeps small catalog queries sequential. *)
+(** Minimum input rows before the vectorized batches run across the
+    pool.  Mutable so the differential tests can force the pooled batches
+    on tiny relations; the default keeps small catalog queries
+    sequential. *)
 let par_threshold = ref 2048
-
-(** Morsel size: outer tuples per chunk the nested-loop join hands to a
-    pool worker. *)
-let morsel_size = ref 1024
-
-let parallel_for n = Pool.size () > 1 && n >= !par_threshold
-
-(* Chunk size that keeps every worker busy even on inputs smaller than a
-   full morsel — at least 4 chunks per domain, capped at the morsel size. *)
-let chunk_for len =
-  max 1 (min !morsel_size ((len + (4 * Pool.size ()) - 1) / (4 * Pool.size ())))
-
-(* Merge per-chunk tuple lists into a relation; the sorted-set constructor
-   re-establishes the ordering contract whatever order chunks produced. *)
-let merge_chunks schema (chunks : D.Tuple.t list array) : D.Relation.t =
-  D.Relation.of_tuples schema (List.concat (Array.to_list chunks))
-
-(* ---------------- columnar execution knobs ---------------- *)
-
-(** Master switch for the vectorized paths, on by default.  Checked at
-    execution time, so a cached plan follows the current setting; the
-    differential suites and the E13 bench turn it off in-process to run
-    the same plan through the row kernels. *)
-let columnar_enabled = ref true
 
 (** Minimum estimated input rows before the planner marks an operator
     vectorized — below this, forcing the columnar view costs more than the
     tight loops save.  Mutable so the differential tests can force the
-    vectorized operators on tiny relations. *)
+    vectorized operators on tiny relations, or — at [max_int] — plan every
+    operator in row mode. *)
 let vec_threshold = ref 256
 
 (** Rows per vectorized batch: the unit the selection kernels and the
@@ -153,10 +130,12 @@ let vec_threshold = ref 256
     of 63 so parallel batches write disjoint bitmap words.) *)
 let batch_rows = ref 4096
 
-(** Has no effect: every vectorized operator gathers eagerly.  Kept only
-    because the perfbench harness still assigns it; the next change to
-    that harness deletes it. *)
+(** Have no effect: every vectorized operator gathers eagerly, and the
+    planner alone picks row or columnar kernels ({!vectorizable}).  Kept
+    only because the perfbench harness still assigns them; the next change
+    to that harness deletes them. *)
 let defer_gathers = ref true
+let columnar_enabled = ref true
 
 (* ---------------- node construction ---------------- *)
 
@@ -176,8 +155,9 @@ let mk ?(vec = false) op schema est est_distinct : t =
     run as single linear merges with no hashing or boxing — and division
     (sorted-group merge, {!vec_division}).  Nested-loop joins stay in row
     mode — their sorted-set implementation already runs without per-row
-    closure dispatch, and vectorizing them does not pay.  The flag is only
-    acted on at execution time, so one plan serves both modes. *)
+    closure dispatch, and vectorizing them does not pay.  The flag is fixed
+    at plan time: a plan built with [vec_threshold := max_int] has no
+    vectorized node and runs every operator through the row kernels. *)
 let vectorizable op =
   let thr = float_of_int !vec_threshold in
   match op with
@@ -205,9 +185,8 @@ type node_run = {
           included; -1 = untracked (alloc tracking off) *)
   detail : (string * int) list;
       (** operator-specific measurements in recording order: [vec] /
-          [batches] for the vectorized paths, [morsels] for the parallel
-          ones, and under telemetry [build_ns] / [probe_ns] for hash
-          joins *)
+          [batches] for the vectorized paths and, under telemetry,
+          [build_ns] / [probe_ns] for hash joins *)
 }
 
 (** One run's profile, keyed by node id: its memo plus what it measured.
@@ -255,10 +234,6 @@ let timed_if f =
    stores them on the node's profile entry. *)
 type notes = (string * int) list ref
 
-(* record the morsel count of a parallel path *)
-let note_morsels (d : notes) len chunk =
-  d := ("morsels", (len + chunk - 1) / max 1 chunk) :: !d
-
 (* ---------------- vectorized operators ---------------- *)
 
 (* Run [f lo len] over the row range [0, nrows) in batches of [!batch_rows]
@@ -275,7 +250,7 @@ let vec_batches ?(align = 1) nrows (f : int -> int -> 'a) : 'a array =
     let lo = k * chunk in
     f lo (min chunk (nrows - lo))
   in
-  if parallel_for nrows && nchunks > 1 then
+  if Pool.size () > 1 && nrows >= !par_threshold && nchunks > 1 then
     Pool.run_all (Array.init nchunks (fun k () -> run k))
   else Array.init nchunks run
 
@@ -555,9 +530,7 @@ let vec_division n (d : notes) (a : t) (b : t) (ra : D.Relation.t)
    did.  Interning the labelled slot takes the registry mutex, but this
    runs once per operator execution, never per row. *)
 let note_row_fallback n inputs =
-  if
-    !columnar_enabled
-    && List.exists (fun r -> Option.is_some (D.Relation.peek_batch r)) inputs
+  if List.exists (fun r -> Option.is_some (D.Relation.peek_batch r)) inputs
   then begin
     T.incr c_fallback;
     T.incr (T.counter ("columnar.fallback_row_mode." ^ op_kind n))
@@ -617,18 +590,18 @@ and compute prof (d : notes) n : D.Relation.t =
   | Empty -> D.Relation.empty n.schema
   | Filter (p, c) ->
     let r = exec prof c in
-    if !columnar_enabled && n.vec then vec_filter n d p r
+    if n.vec then vec_filter n d p r
     else D.Relation.filter p.holds r
   | Project (idx, c) ->
     let r = exec prof c in
-    if !columnar_enabled && n.vec then vec_project n d idx r
+    if n.vec then vec_project n d idx r
     else D.Relation.map n.schema (fun t -> Array.map (D.Tuple.get t) idx) r
   | Relabel c ->
     D.Relation.rename_all (D.Schema.names n.schema) (exec prof c)
   | Hash_join j -> (
     let lr = exec prof j.left and rr = exec prof j.right in
     match
-      if !columnar_enabled && n.vec then begin
+      if n.vec then begin
         match vec_hash_join n d j lr rr with
         | Some r -> Some r
         | None ->
@@ -672,34 +645,22 @@ and compute prof (d : notes) n : D.Relation.t =
   | Nl_join (p, a, b) ->
     let ra = exec prof a and rb = exec prof b in
     note_row_fallback n [ ra; rb ];
-    let ca = D.Relation.cardinality ra and cb = D.Relation.cardinality rb in
-    let pair_chunk sub =
-      Array.fold_right
-        (fun ta acc ->
-          D.Relation.fold
-            (fun tb acc ->
-              let out = D.Tuple.concat ta tb in
-              match p with
-              | Some p when not (p.holds out) -> acc
-              | _ -> out :: acc)
-            rb acc)
-        sub []
-    in
-    if not (parallel_for (ca * cb)) then
-      D.Relation.of_tuples n.schema (pair_chunk (D.Relation.tuples_array ra))
-    else begin
-      (* the work is |a|·|b|: chunk the outer side finely enough that even
-         a small outer relation spreads across the pool *)
-      note_morsels d ca (chunk_for ca);
-      merge_chunks n.schema
-        (Pool.parallel_map_chunks ~chunk:(chunk_for ca) pair_chunk
-           (D.Relation.tuples_array ra))
-    end
-  | Union (a, b) when !columnar_enabled && n.vec ->
+    D.Relation.of_tuples n.schema
+      (Array.fold_right
+         (fun ta acc ->
+           D.Relation.fold
+             (fun tb acc ->
+               let out = D.Tuple.concat ta tb in
+               match p with
+               | Some p when not (p.holds out) -> acc
+               | _ -> out :: acc)
+             rb acc)
+         (D.Relation.tuples_array ra) [])
+  | Union (a, b) when n.vec ->
     vec_setop n d D.Batch.merge_union (exec prof a) (exec prof b)
-  | Inter (a, b) when !columnar_enabled && n.vec ->
+  | Inter (a, b) when n.vec ->
     vec_setop n d D.Batch.merge_inter (exec prof a) (exec prof b)
-  | Diff (a, b) when !columnar_enabled && n.vec ->
+  | Diff (a, b) when n.vec ->
     vec_setop n d D.Batch.merge_diff (exec prof a) (exec prof b)
   | Union (a, b) ->
     let ra = exec prof a and rb = exec prof b in
@@ -713,7 +674,7 @@ and compute prof (d : notes) n : D.Relation.t =
     let ra = exec prof a and rb = exec prof b in
     note_row_fallback n [ ra; rb ];
     D.Relation.diff ra rb
-  | Division (a, b) when !columnar_enabled && n.vec ->
+  | Division (a, b) when n.vec ->
     vec_division n d a b (exec prof a) (exec prof b)
   | Division (a, b) ->
     let ra = exec prof a and rb = exec prof b in
@@ -853,8 +814,8 @@ let est_off ~est ~actual = est_ratio est actual > est_off_factor
 (** Render the plan annotated with the run profile [prof] — the
     [qviz eval --analyze] sink.  Each executed node shows actual rows and
     wall time (children included) next to the planner's estimate, hash
-    joins additionally split build vs. probe time and parallel operators
-    report their morsel count; nodes whose row estimate was off by more
+    joins additionally split build vs. probe time and vectorized operators
+    report their batch count; nodes whose row estimate was off by more
     than {!est_off_factor}× are flagged with [!est-off].  Times need the
     run to have had telemetry enabled; untimed nodes render [time=?]. *)
 let analyze (prof : profile) (root : t) : string =

@@ -102,29 +102,13 @@ let reset_stats () =
 let stats () =
   locked (fun () -> (T.counter_value hits, T.counter_value misses))
 
+(** Number of plans currently cached. *)
 let length () = locked (fun () -> Hashtbl.length table)
 
-(** Set the maximum number of cached plans (evicting down if needed). *)
-let set_capacity n =
-  if n < 1 then invalid_arg "Plan_cache.set_capacity: capacity must be >= 1";
-  locked (fun () ->
-      capacity := n;
-      while Hashtbl.length table > n do
-        let victim =
-          Hashtbl.fold
-            (fun k e acc ->
-              match acc with
-              | Some (_, e') when e'.last_used <= e.last_used -> acc
-              | _ -> Some (k, e))
-            table None
-        in
-        match victim with
-        | Some (k, _) -> Hashtbl.remove table k
-        | None -> ()
-      done)
-
-let evict_if_full () =
-  if Hashtbl.length table >= !capacity then begin
+(* Drop least-recently-used entries until at most [n] remain, counting
+   each eviction.  Called with the lock held. *)
+let evict_to n =
+  while Hashtbl.length table > n do
     let victim =
       Hashtbl.fold
         (fun k e acc ->
@@ -133,12 +117,16 @@ let evict_if_full () =
           | _ -> Some (k, e))
         table None
     in
-    match victim with
-    | Some (k, _) ->
-      Hashtbl.remove table k;
-      T.incr evictions
-    | None -> ()
-  end
+    Option.iter (fun (k, _) -> Hashtbl.remove table k) victim;
+    T.incr evictions
+  done
+
+(** Set the maximum number of cached plans (evicting down if needed). *)
+let set_capacity n =
+  if n < 1 then invalid_arg "Plan_cache.set_capacity: capacity must be >= 1";
+  locked (fun () ->
+      capacity := n;
+      evict_to n)
 
 (** The cached plan for [e] against [db] — planning (via {!Planner.plan},
     logical rewrites included) only on a miss.  Returns the plan and
@@ -164,9 +152,6 @@ let find_or_plan (db : D.Database.t) (e : Ast.t) : Plan.t * bool =
        so a racing duplicate insert is harmless (last writer wins) *)
     let plan = Planner.plan db e in
     locked (fun () ->
-        evict_if_full ();
+        evict_to (!capacity - 1);
         Hashtbl.replace table key { plan; last_used = !clock });
     (plan, false)
-
-(** Number of plans currently cached. *)
-let entries () = length ()

@@ -46,23 +46,3 @@ let drawable_panels schemas (qs : Trc.query list) : Trc.query list =
   | [] -> (
     match panels with [] -> [] | p :: _ -> [ { p with Trc.body = Trc.False } ])
   | live -> live
-
-(** Union-free TRC for a DRC query when a single panel suffices. *)
-let drc_to_trc_single schemas q =
-  match drc_to_trc schemas q with
-  | [ single ] -> Some single
-  | _ -> None
-
-(** Evaluate a query of any of the three languages to a relation, used by
-    the differential tests and the cross-language bench (E1). *)
-type any_query =
-  | Ra of Diagres_ra.Ast.t
-  | Trc of Trc.query
-  | Drc of Drc.query
-
-(** DRC evaluates through the planner ({!Drc_to_ra.eval}); TRC on its
-    range-restricted evaluator. *)
-let eval_any db = function
-  | Ra e -> Diagres_ra.Eval.eval_planned db e
-  | Trc q -> Trc.eval db q
-  | Drc q -> Drc_to_ra.eval db q

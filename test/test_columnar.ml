@@ -25,6 +25,7 @@ module V = D.Value
 module F = Diagres_logic.Fol
 module Plan = Diagres_ra.Plan
 module Planner = Diagres_ra.Planner
+module Plan_cache = Diagres_ra.Plan_cache
 module Pool = Diagres_pool.Pool
 module T = Diagres_telemetry.Telemetry
 module Q = Diagres.Qgen
@@ -36,28 +37,27 @@ let schemas = Testutil.schemas
    on tiny inputs: [vec_threshold = 0] marks every filter/project/join
    vectorized, [batch_rows = 3] forces multi-batch execution on the sample
    relations (the filter rounds it up to one 63-row word per batch), and
-   [par_threshold = 0] routes the batches through the pool.  [columnar]
-   toggles the master switch, so the same forcing covers both the
-   vectorized and the row fallback paths. *)
+   [par_threshold = 0] routes the batches through the pool.  With
+   [~columnar:false] the planner builds every node in row mode instead
+   ([vec_threshold = max_int]), so the same forcing covers both kernel
+   families.  The kernel choice is fixed at plan time and the plan cache
+   key does not carry it, so the cache is cleared on entry and exit. *)
 let forcing ?(columnar = true) domains f =
   let old_size = Pool.size () in
-  let old_thr = !Plan.par_threshold and old_morsel = !Plan.morsel_size in
+  let old_thr = !Plan.par_threshold in
   let old_vec = !Plan.vec_threshold and old_batch = !Plan.batch_rows in
-  let old_col = !Plan.columnar_enabled in
   Pool.set_size domains;
   Plan.par_threshold := 0;
-  Plan.morsel_size := 3;
-  Plan.vec_threshold := 0;
+  Plan.vec_threshold := (if columnar then 0 else max_int);
   Plan.batch_rows := 3;
-  Plan.columnar_enabled := columnar;
+  Plan_cache.clear ();
   Fun.protect
     ~finally:(fun () ->
       Pool.set_size old_size;
       Plan.par_threshold := old_thr;
-      Plan.morsel_size := old_morsel;
       Plan.vec_threshold := old_vec;
       Plan.batch_rows := old_batch;
-      Plan.columnar_enabled := old_col)
+      Plan_cache.clear ())
     f
 
 (* ------------------------------------------------------------------ *)
@@ -602,6 +602,34 @@ let test_differential () =
       [ 1; 4 ]
   done
 
+(* The row leg of the differentials: a plan built at
+   [vec_threshold = max_int] has no vectorized node, so every operator runs
+   the row kernels; the columnar leg's plan of the same query has some. *)
+let test_row_leg_has_no_vec_node () =
+  let vec_nodes plan =
+    Plan.fold_unique (fun n k -> if n.Plan.vec then k + 1 else k) plan 0
+  in
+  let st = Random.State.make [| 0x7e0; 24 |] in
+  let queries =
+    List.map Diagres.Catalog.parsed_ra Diagres.Catalog.all
+    @ List.init 50 (fun _ -> Q.gen_ra st schemas 3)
+  in
+  List.iter
+    (fun e ->
+      let what = Diagres_ra.Pretty.ascii e in
+      let row = forcing ~columnar:false 1 (fun () -> Planner.plan db e) in
+      Alcotest.(check int) ("row plan: " ^ what) 0 (vec_nodes row))
+    queries;
+  List.iter
+    (fun entry ->
+      let e = Diagres.Catalog.parsed_ra entry in
+      let col = forcing 1 (fun () -> Planner.plan db e) in
+      Alcotest.(check bool)
+        ("columnar plan vectorizes " ^ entry.Diagres.Catalog.id)
+        true
+        (vec_nodes col > 0))
+    Diagres.Catalog.all
+
 (* QCheck variant over Testutil's generator: different query shapes
    (products with renamed-apart sides, disjunctions), with shrinking. *)
 let prop_columnar_matches_row =
@@ -661,4 +689,6 @@ let () =
       ( "differential",
         [ Alcotest.test_case "qgen: columnar = row = naive" `Slow
             test_differential;
-          Testutil.qtest prop_columnar_matches_row ] ) ]
+          Testutil.qtest prop_columnar_matches_row;
+          Alcotest.test_case "row leg plans no vectorized node" `Quick
+            test_row_leg_has_no_vec_node ] ) ]

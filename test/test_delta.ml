@@ -23,7 +23,7 @@
    - a randomized insert/delete-stream differential: maintained result ≡
      recomputed ≡ naive, over qgen-generated plans, crossed over 1/4
      domains (overridable via DIAGRES_DOMAINS, which is how CI crosses
-     the pool sizes) and columnar on/off. *)
+     the pool sizes) and vectorized/row-only plans. *)
 
 module D = Diagres_data
 module R = D.Relation
@@ -42,26 +42,26 @@ module T = Diagres_telemetry.Telemetry
 
 (* Same forcing harness as test_columnar: tiny thresholds so every
    eligible operator — including the ephemeral delta nodes — runs its
-   vectorized, multi-batch, pooled paths even on sample-sized inputs. *)
+   vectorized, multi-batch, pooled paths even on sample-sized inputs;
+   [~columnar:false] plans every node in row mode instead.  Views plan
+   through the plan cache, whose key does not carry the kernel choice, so
+   the cache is cleared on entry and exit. *)
 let forcing ?(columnar = true) domains f =
   let old_size = Pool.size () in
-  let old_thr = !Plan.par_threshold and old_morsel = !Plan.morsel_size in
+  let old_thr = !Plan.par_threshold in
   let old_vec = !Plan.vec_threshold and old_batch = !Plan.batch_rows in
-  let old_col = !Plan.columnar_enabled in
   Pool.set_size domains;
   Plan.par_threshold := 0;
-  Plan.morsel_size := 3;
-  Plan.vec_threshold := 0;
+  Plan.vec_threshold := (if columnar then 0 else max_int);
   Plan.batch_rows := 3;
-  Plan.columnar_enabled := columnar;
+  Plan_cache.clear ();
   Fun.protect
     ~finally:(fun () ->
       Pool.set_size old_size;
       Plan.par_threshold := old_thr;
-      Plan.morsel_size := old_morsel;
       Plan.vec_threshold := old_vec;
       Plan.batch_rows := old_batch;
-      Plan.columnar_enabled := old_col)
+      Plan_cache.clear ())
     f
 
 (* ------------------------------------------------------------------ *)

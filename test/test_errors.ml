@@ -247,8 +247,8 @@ let test_diag_in_pool_task () =
       Pool.run_all
         (Array.init 8 (fun i () ->
              if i = 5 then raise (Diag.Error eval_diag) else i)));
-  (* the same through a plan: the nested-loop join's morsels run as pool
-     tasks, and one of them meets the raising predicate *)
+  (* the same through a plan: the nested-loop join runs on the calling
+     domain at any pool size and meets the raising predicate there *)
   let scan name =
     let r = D.Database.find name db in
     Plan.mk (Plan.Scan (name, r)) (D.Relation.schema r) 0. [||]
@@ -264,7 +264,7 @@ let test_diag_in_pool_task () =
       (Plan.Nl_join (Some (raising_pred bad), sailors, boats))
       (sailors.Plan.schema @ boats.Plan.schema) 0. [||]
   in
-  check_propagates "parallel nested-loop join" eval_diag (fun () ->
+  check_propagates "nested-loop join" eval_diag (fun () ->
       Plan.run join)
 
 (* A view whose filter raises on one inserted sailor: the diagnostic
@@ -376,6 +376,44 @@ let test_drc_comparison_typing () =
   Testutil.check_same_rows "int-vs-float planned = naive" expected
     (L.eval db (L.Q_drc numeric))
 
+(* Datalog conditions are typed like DRC comparisons: a variable takes
+   the column type of the EDB positions it occupies, or the type an IDB's
+   rule heads give that column. *)
+let test_datalog_comparison_typing () =
+  let module V = Diagres.Views in
+  let schemas = D.Sample_db.schemas in
+  List.iter
+    (fun src ->
+      let q = L.parse L.Datalog src in
+      List.iter
+        (fun (what, f) ->
+          match Diagres.Errors.capture_all f with
+          | Ok () -> Alcotest.failf "%s accepted %s" what src
+          | Error d ->
+            Alcotest.(check string) (what ^ ": code") "E-DLG-TYPE-001"
+              d.Diag.code;
+            Alcotest.(check int) (what ^ ": exit code") 3 (Diag.exit_code d))
+        [ ("Languages.eval", fun () -> ignore (L.eval db q));
+          ("Languages.to_ra", fun () -> ignore (L.to_ra schemas q));
+          ( "Views.register",
+            fun () ->
+              ignore
+                (V.register (V.create db) ~name:"v" ~lang:L.Datalog ~source:src)
+          );
+          ("Pipeline.visualize qbe", fun () -> ignore (P.visualize schemas q P.Qbe))
+        ])
+    [ "q(S) :- Sailor(S, N, R, A), N > 5.";
+      "p(N) :- Sailor(S, N, R, A). q(X) :- p(X), X > 5." ];
+  let src = "q(S) :- Sailor(S, N, R, A), A > 30." in
+  let p = Diagres_datalog.Parser.parse src in
+  let expected =
+    Diagres_rc.Drc.eval_naive db (Diagres_datalog.To_drc.query schemas p ~goal:"q")
+  in
+  Alcotest.(check bool) "int-vs-float answers" false
+    (D.Relation.is_empty expected);
+  Testutil.check_same_rows "int-vs-float = naive DRC" expected
+    (L.eval db (L.parse L.Datalog src))
+
 let test_suggestions () =
   Alcotest.(check (option string))
     "suggest Sailor"
@@ -410,7 +448,9 @@ let () =
           Alcotest.test_case "constant-false bodies" `Quick
             test_constant_false_bodies;
           Alcotest.test_case "drc comparison typing" `Quick
-            test_drc_comparison_typing ] );
+            test_drc_comparison_typing;
+          Alcotest.test_case "datalog comparison typing" `Quick
+            test_datalog_comparison_typing ] );
       ( "contract",
         [ Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "catch-all net" `Quick test_capture_all;

@@ -1,7 +1,6 @@
-(* The domain pool: sizing, batch semantics, exception propagation, and
-   the two array primitives the parallel operators are built from.  Every
-   test runs the interesting cases at pool size 1 (inline) and > 1
-   (worker domains + helping submitter). *)
+(* The domain pool: sizing, [run_all]'s batch semantics and exception
+   propagation.  Every test runs the interesting cases at pool size 1
+   (inline) and > 1 (worker domains + helping submitter). *)
 
 module Pool = Diagres_pool.Pool
 
@@ -69,56 +68,19 @@ let test_usable_after_failure () =
       Alcotest.(check (array int)) "pool still works" [| 0; 1; 2 |]
         (Pool.run_all (Array.init 3 (fun i () -> i))))
 
-let test_map_chunks_matches_sequential () =
-  let arr = Array.init 1000 (fun i -> (i * 37) mod 101) in
-  let expected = Array.map succ arr in
-  List.iter
-    (fun size ->
-      with_size size (fun () ->
-          List.iter
-            (fun chunk ->
-              let chunks =
-                Pool.parallel_map_chunks ~chunk (Array.map succ) arr
-              in
-              Alcotest.(check (array int))
-                (Printf.sprintf "size %d chunk %d" size chunk)
-                expected
-                (Array.concat (Array.to_list chunks)))
-            [ 1; 7; 128; 5000 ]))
-    [ 1; 2; 4 ]
-
-let test_fold_deterministic () =
-  let arr = Array.init 5000 (fun i -> i) in
-  let expected = 5000 * 4999 / 2 in
-  List.iter
-    (fun size ->
-      with_size size (fun () ->
-          Alcotest.(check int)
-            (Printf.sprintf "sum at size %d" size)
-            expected
-            (Pool.parallel_fold ~chunk:64
-               ~map:(Array.fold_left ( + ) 0)
-               ~merge:( + ) ~init:0 arr)))
-    [ 1; 3 ]
-
-let test_nested_parallel_no_deadlock () =
-  (* a parallel call inside a pool task: the helping scheduler must drain
-     the inner batch instead of deadlocking every worker on the outer one *)
+let test_nested_run_all_no_deadlock () =
+  (* a batch submitted from inside a pool task: the helping scheduler
+     drains the inner batch instead of deadlocking every worker on the
+     outer one *)
   with_size 2 (fun () ->
       let inner i =
-        Pool.parallel_fold ~chunk:16 ~map:(Array.fold_left ( + ) 0)
-          ~merge:( + ) ~init:0
-          (Array.init 100 (fun j -> i + j))
+        Array.fold_left ( + ) 0
+          (Pool.run_all (Array.init 10 (fun j () -> i + j)))
       in
       let outer = Pool.run_all (Array.init 8 (fun i () -> inner i)) in
       Alcotest.(check (array int)) "nested results"
-        (Array.init 8 (fun i -> (100 * i) + (100 * 99 / 2)))
+        (Array.init 8 (fun i -> (10 * i) + (10 * 9 / 2)))
         outer)
-
-let test_list_map () =
-  with_size 4 (fun () ->
-      Alcotest.(check (list int)) "list map order" [ 2; 4; 6; 8; 10 ]
-        (Pool.parallel_list_map (fun x -> 2 * x) [ 1; 2; 3; 4; 5 ]))
 
 let () =
   Alcotest.run "pool"
@@ -133,11 +95,5 @@ let () =
           Alcotest.test_case "usable after failure" `Quick
             test_usable_after_failure;
           Alcotest.test_case "nested calls don't deadlock" `Quick
-            test_nested_parallel_no_deadlock ] );
-      ( "primitives",
-        [ Alcotest.test_case "map_chunks = sequential" `Quick
-            test_map_chunks_matches_sequential;
-          Alcotest.test_case "fold deterministic" `Quick
-            test_fold_deterministic;
-          Alcotest.test_case "list map" `Quick test_list_map ] );
+            test_nested_run_all_no_deadlock ] );
     ]

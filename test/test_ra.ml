@@ -344,22 +344,19 @@ module Pool = Diagres_pool.Pool
 (* Run [f] with the pool at [domains] and every parallel operator forced on:
    [vec_threshold = 0] marks every eligible operator vectorized and
    [par_threshold = 0] routes even the sample db's relations through the
-   morsel-parallel kernels, with small batches (and small nested-loop
-   morsels) so several chunks exist. *)
+   pooled vectorized batches, made small so several batches exist. *)
 let forcing_parallel domains f =
   let old_size = Pool.size () in
-  let old_thr = !Plan.par_threshold and old_morsel = !Plan.morsel_size in
+  let old_thr = !Plan.par_threshold in
   let old_vec = !Plan.vec_threshold and old_batch = !Plan.batch_rows in
   Pool.set_size domains;
   Plan.par_threshold := 0;
-  Plan.morsel_size := 3;
   Plan.vec_threshold := 0;
   Plan.batch_rows := 3;
   Fun.protect
     ~finally:(fun () ->
       Pool.set_size old_size;
       Plan.par_threshold := old_thr;
-      Plan.morsel_size := old_morsel;
       Plan.vec_threshold := old_vec;
       Plan.batch_rows := old_batch)
     f
@@ -404,7 +401,6 @@ let test_parallel_catalog_larger_dbs () =
       List.iter
         (fun domains ->
           forcing_parallel domains (fun () ->
-              Plan.morsel_size := 64;
               Plan.batch_rows := 64;
               Testutil.check_same_rows
                 (Printf.sprintf "parallel %s at %d domains"
@@ -500,9 +496,15 @@ let test_plan_cache_lru_eviction () =
       (* q2 was evicted; looking it up is a miss that now evicts q3 *)
       let _, hit2 = Plan_cache.find_or_plan db (q 2) in
       Alcotest.(check bool) "least-recently-used entry evicted" false hit2;
-      (* shrinking the capacity evicts immediately *)
+      (* shrinking the capacity evicts immediately, and counts it *)
+      let evictions () =
+        Diagres_telemetry.Telemetry.counter_named "plan_cache.evictions"
+      in
+      let before = evictions () in
       Plan_cache.set_capacity 1;
-      Alcotest.(check int) "shrink evicts" 1 (Plan_cache.length ()))
+      Alcotest.(check int) "shrink evicts" 1 (Plan_cache.length ());
+      Alcotest.(check int) "shrink counts its eviction" (before + 1)
+        (evictions ()))
 
 (* ---------------- pretty / tree ---------------- *)
 

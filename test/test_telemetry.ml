@@ -675,7 +675,7 @@ module Plan = Diagres_ra.Plan
 (* Everything a run profile counts, node by node, with the measurements
    that telemetry alone takes (time, allocation, [*_ns] details) left
    out: which nodes were computed (evals), their rows, memo hits and the
-   [vec]/[batches]/[morsels] details. *)
+   [vec]/[batches] details. *)
 let profile_counts plan (prof : Plan.profile) =
   Plan.fold_unique
     (fun n acc ->
@@ -691,18 +691,16 @@ let profile_counts plan (prof : Plan.profile) =
     plan []
 
 (* Small thresholds so the Qgen stream reaches the vectorized,
-   multi-batch and morsel-parallel paths on the sample database. *)
+   multi-batch and pooled paths on the sample database. *)
 let with_small_thresholds f =
-  let par = !Plan.par_threshold and morsel = !Plan.morsel_size in
+  let par = !Plan.par_threshold in
   let vec = !Plan.vec_threshold and batch = !Plan.batch_rows in
   Plan.par_threshold := 0;
-  Plan.morsel_size := 3;
   Plan.vec_threshold := 0;
   Plan.batch_rows := 3;
   Fun.protect
     ~finally:(fun () ->
       Plan.par_threshold := par;
-      Plan.morsel_size := morsel;
       Plan.vec_threshold := vec;
       Plan.batch_rows := batch)
     f
